@@ -145,11 +145,6 @@ def smoothable_corner_chart(poly, vertex):
     return (M, poly.vertices[vertex])
 
 
-def chart_apply(chart, x):
-    M, p = chart
-    return mat_vec(M, vec_sub(x, p))
-
-
 def chart_unapply(chart, y):
     M, p = chart
     Minv = mat_inv(M)
@@ -527,7 +522,7 @@ def polytope_from_json(doc):
             (tuple(int(x) for x in f["normal"]), Fraction(f["rhs"]))
             for f in doc["facets"])
         return MomentPolytope(dim, (), (), facets)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise AlmostToricError("malformed polytope document: %s" % e)
 
 
@@ -546,7 +541,7 @@ def trades_from_json(doc):
                 chart = (tuple(tuple(int(x) for x in row) for row in ch["matrix"]),
                          tuple(Fraction(x) for x in ch["translation"]))
             out.append(NodalTrade(target, chart, Fraction(tr.get("t", 1))))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise AlmostToricError("malformed trade document: %s" % e)
     return tuple(out)
 

@@ -121,13 +121,13 @@ def cmd_base_syz(args):
         if args.radii:
             radii = [Fraction(x) for x in args.radii.split(",")]
         base = base_from_fan(fan, radii)
-    except (SeedError, ValueError) as e:
+        viewport = (-3, -3, 3, 3)
+        if args.viewport:
+            viewport = tuple(Fraction(x) for x in args.viewport.split(","))
+    except (SeedError, ValueError, ZeroDivisionError) as e:
         raise CliError(EXIT_VALIDATION, str(e))
     if args.convention == COCHARACTER:
         base = toggle_convention(base)
-    viewport = (-3, -3, 3, 3)
-    if args.viewport:
-        viewport = tuple(Fraction(x) for x in args.viewport.split(","))
     _write(args.out, render_syz_svg(base, viewport))
     if args.json:
         _write(args.json, _dump_json(base_to_json(base)))

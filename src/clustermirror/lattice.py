@@ -11,10 +11,6 @@ from fractions import Fraction
 from math import gcd
 
 
-def vec(entries):
-    return tuple(entries)
-
-
 def mat(rows):
     return tuple(tuple(row) for row in rows)
 
@@ -265,7 +261,7 @@ def solve_rational(A, b):
     elimination with Fractions throughout.
     """
     m = len(A)
-    n = len(A[0]) if m else (len(b) if False else 0)
+    n = len(A[0]) if m else 0
     if m != len(b):
         raise ValueError("dimension mismatch between matrix and right-hand side")
     aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]

@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-import sympy as sp
-
 from .lattice import det, identity, mat_mul, mat_inv
 from .skeleton import circle_class, dehn_twist, intersection_number
 
@@ -98,11 +96,16 @@ def rank_one(values):
 
 
 def _mat_pow(A, e, rank):
+    """A^e by square-and-multiply: O(log |e|) products, one inverse if e < 0."""
     if e < 0:
-        return _mat_pow(mat_inv(A), -e, rank)
+        A, e = mat_inv(A), -e
     out = identity(rank)
-    for _ in range(e):
-        out = mat_mul(out, A)
+    while e:
+        if e & 1:
+            out = mat_mul(out, A)
+        e >>= 1
+        if e:
+            A = mat_mul(A, A)
     return out
 
 
@@ -184,6 +187,7 @@ def mutate_local_system(ls, s):
 
 
 def symbolic_variables(n=2):
+    import sympy as sp
     return sp.symbols("x1:%d" % (n + 1))
 
 
@@ -194,6 +198,7 @@ class SymbolicHolonomy:
     holonomies: tuple
 
     def __post_init__(self):
+        import sympy as sp
         for h in self.holonomies:
             if sp.simplify(h) == 0:
                 raise LocalSystemError("holonomies must be nonzero")
@@ -204,6 +209,7 @@ def symbolic_standard(n=2):
 
 
 def symbolic_around(sh, c):
+    import sympy as sp
     out = sp.Integer(1)
     for h, e in zip(sh.holonomies, c):
         out *= sp.Pow(h, e)
@@ -215,6 +221,7 @@ def mutate_symbolic(sh, s):
 
     Returns (mutated SymbolicHolonomy, adapted pair of rational
     functions).  Raises NotMutable if 1 - E_s vanishes identically."""
+    import sympy as sp
     if sh.n != 2:
         raise LocalSystemError("mutation implemented on the 2-torus only")
     E_s = symbolic_around(sh, s)
@@ -263,6 +270,6 @@ def deserialize_local_system(doc):
             [[Fraction(x) for x in row] for row in A]
             for A in doc["holonomies"]
         ]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise LocalSystemError("malformed local system document: %s" % e)
     return local_system(hol)

@@ -96,9 +96,6 @@ def dehn_twist(c, about):
     return (c[0] + m * about[0], c[1] + m * about[1])
 
 
-ROT = ((0, -1), (1, 0))
-
-
 def circle_class(psi):
     """s = R psi for the fixed 90 degree rotation R."""
     return (-psi[1], psi[0])

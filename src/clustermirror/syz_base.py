@@ -84,10 +84,6 @@ def conjugation_witness(psi):
     return A, CONJUGATION_SIGN
 
 
-def shear_power(sign):
-    return ((1, sign), (0, 1))
-
-
 def base_from_fan(fan, radii=None):
     """One singularity per ray, at radius * psi, cut along +psi.
 

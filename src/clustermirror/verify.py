@@ -243,9 +243,11 @@ SUITES = {
 
 
 def run_suites(names, prng_seed, cases=None):
+    if cases is not None and cases < 1:
+        raise ValueError("cases must be at least 1, got %d" % cases)
     rng = random.Random(prng_seed)
     reports = []
     for name in names:
         fn = SUITES[name]
-        reports.append(fn(rng, cases) if cases else fn(rng))
+        reports.append(fn(rng) if cases is None else fn(rng, cases))
     return reports

@@ -128,6 +128,41 @@ def test_locsys_commands(tmp_path):
     assert "x1'" in t.read_text()
 
 
+def test_locsys_zero_denominator_exit_2(tmp_path, capsys):
+    ls = tmp_path / "ls.json"
+    ls.write_text(json.dumps(
+        {"rank": 1, "loops": 2, "holonomies": [[["1/0"]], [["3"]]]}))
+    assert run(["locsys", "mutate", "--locsys", str(ls),
+                "--handle-class", "1,0"]) == 2
+    assert "malformed local system" in capsys.readouterr().err
+
+
+def test_polytope_zero_denominator_exit_2(tmp_path, capsys):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(
+        {"dimension": 2, "vertices": [["0", "1/0"], ["5", "0"]],
+         "rays": [[0, 1], [1, 0]]}))
+    assert run(["base", "trade", "--polytope", str(poly),
+                "--trades", str(FIXTURES / "bl0c2_trades.json"),
+                "--out", str(tmp_path / "x.svg")]) == 2
+    assert "malformed polytope" in capsys.readouterr().err
+
+
+def test_base_syz_zero_denominator_exit_2(tmp_path):
+    for flag, value in (("--radii", "1/0,1"), ("--viewport", "-3,-3,3,1/0")):
+        assert run(["base", "syz", "--seed", str(FIXTURES / "a2_seed.json"),
+                    flag, value, "--out", str(tmp_path / "b.svg")]) == 2
+
+
+@pytest.mark.parametrize("cases", ["0", "-5"])
+def test_verify_rejects_nonpositive_cases(cases, capsys):
+    assert run(["verify", "--suite", "epsilon", "--prng", "1",
+                "--cases", cases]) == 2
+    captured = capsys.readouterr()
+    assert "cases must be at least 1" in captured.err
+    assert "pass" not in captured.out
+
+
 def test_verify_pass(tmp_path):
     rep = tmp_path / "rep.json"
     rc = run(["verify", "--suite", "all", "--prng", "42", "--cases", "25",

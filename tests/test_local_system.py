@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from clustermirror.lattice import det, identity, mat_inv, mat_mul
 from clustermirror.local_system import (LocalSystemError, NotMutable,
-                                        SIGN_TWIST, canonical_transversal,
+                                        SIGN_TWIST, _mat_pow,
+                                        canonical_transversal,
                                         chart_transition, holonomy_around,
                                         is_mutable, local_system,
                                         mutate_local_system, mutate_symbolic,
@@ -27,6 +31,28 @@ def test_holonomy_around():
                                              (Fraction(0), Fraction(63)))
     assert holonomy_around(diag, (-1, 0)) == ((Fraction(1, 2), Fraction(0)),
                                               (Fraction(0), Fraction(1, 3)))
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _square_matrices(rank):
+    row = st.tuples(*[small_fractions] * rank)
+    return st.tuples(*[row] * rank)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(_square_matrices), st.integers(-40, 40))
+def test_mat_pow_matches_repeated_multiplication(A, e):
+    assume(det(A) != 0)
+    rank = len(A)
+    base = mat_inv(A) if e < 0 else A
+    expect = identity(rank)
+    for _ in range(abs(e)):
+        expect = mat_mul(expect, base)
+    got = _mat_pow(A, e, rank)
+    assert got == expect
+    assert [type(x) for row in got for x in row] == [type(x) for row in expect for x in row]
 
 
 def test_is_mutable():
