@@ -23,11 +23,10 @@ B-side monodromy of the eigen direction.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (AffineSubspace, Infeasible, Point, det, is_unimodular,
+from .lattice import (Infeasible, Point, as_int, as_rational, is_unimodular,
                       mat_inv, mat_mul, mat_vec, primitive_part, solve_rational,
-                      transpose, vec_sub)
-from .skeleton import Handle, Skeleton, circle_class, intersection_number
-from .syz_base import monodromy_matrix
+                      transpose, unimodular_inverse, vec_sub)
+from .skeleton import Handle, Skeleton, circle_class
 from .svg import SvgCanvas
 
 FOCUS_FOCUS = ((2, 1), (-1, 0))
@@ -137,7 +136,7 @@ def smoothable_corner_chart(poly, vertex):
     if d not in (1, -1):
         raise AlmostToricError("corner not integral-affine standard")
     ab = ((a[0], b[0]), (a[1], b[1]))
-    inv = tuple(tuple(int(x) for x in row) for row in mat_inv(ab))
+    inv = unimodular_inverse(ab)
     if d == 1:
         M = inv                          # a -> e1, b -> e2
     else:
@@ -207,22 +206,29 @@ def convex_polygons_intersect(A, B):
     return True
 
 
+def _checked_chart(chart, n):
+    """An explicit chart (M, p) as tuples, once M is unimodular n x n and
+    p has length n."""
+    M, p = chart
+    if len(M) != n or any(len(row) != n for row in M) or len(p) != n:
+        raise AlmostToricError(
+            "chart needs a %dx%d matrix and a translation of length %d" % (n, n, n))
+    if not is_unimodular(M):
+        raise AlmostToricError("chart matrix must be unimodular")
+    return tuple(tuple(row) for row in M), tuple(p)
+
+
 def _trade_singularity_2d(poly, trade):
-    chart = trade.chart
-    if chart is None:
+    if trade.chart is None:
         chart = smoothable_corner_chart(poly, trade.target)
     else:
-        M, p = chart
-        if not is_unimodular(M):
-            raise AlmostToricError("chart matrix must be unimodular")
-        chart = (tuple(tuple(row) for row in M), tuple(p))
+        chart = _checked_chart(trade.chart, 2)
     M, p = chart
     t = Fraction(trade.t)
     pos = chart_unapply(chart, (t, t))
-    Minv = tuple(tuple(int(x) for x in row) for row in mat_inv(M))
+    Minv = unimodular_inverse(M)
     eigen = primitive_part(mat_vec(Minv, (1, 1)))
-    mono = mat_mul(mat_mul(transpose(M), FOCUS_FOCUS),
-                   tuple(tuple(int(x) for x in row) for row in mat_inv(transpose(M))))
+    mono = mat_mul(mat_mul(transpose(M), FOCUS_FOCUS), transpose(Minv))
     cut = (pos, tuple(-e for e in eigen))
     return Singularity(trade, chart, pos, (), eigen, mono, cut)
 
@@ -237,19 +243,18 @@ def _facet(poly, i):
 def _trade_singularity_nd(poly, trade):
     if trade.chart is None:
         raise AlmostToricError("explicit charts are required above dimension 2")
-    M, p = trade.chart
     n = poly.dimension
-    if len(M) != n or not is_unimodular(M):
-        raise AlmostToricError("chart matrix must be unimodular of the ambient dimension")
+    chart = _checked_chart(trade.chart, n)
+    M, p = chart
     t = Fraction(trade.t)
-    Minv = tuple(tuple(Fraction(x) for x in row) for row in mat_inv(M))
+    Minv = unimodular_inverse(M)
     model_pt = (t, t) + (Fraction(0),) * (n - 2)
     pos = tuple(a + b for a, b in zip(mat_vec(Minv, model_pt), p))
-    basis = tuple(tuple(int(Minv[i][j]) for i in range(n)) for j in range(2, n))
-    eigen = primitive_part(tuple(int(Minv[i][0] + Minv[i][1]) for i in range(n)))
+    basis = transpose(Minv)[2:]
+    eigen = primitive_part(tuple(row[0] + row[1] for row in Minv))
     mono = None  # the 2x2 model matrix acts in the transverse slice only
     cut = (pos, tuple(-e for e in eigen))
-    return Singularity(trade, (M, tuple(p)), pos, basis, eigen, mono, cut)
+    return Singularity(trade, chart, pos, basis, eigen, mono, cut)
 
 
 def detect_interactions(poly, trades):
@@ -337,10 +342,8 @@ def transport_matrix(sing):
     recorded = M^T F M^{-T}, so F = M^{-T} recorded M^T and the edge
     transport in polygon coordinates is M^{-1} F M."""
     M, _p = sing.chart
-    Minv = tuple(tuple(int(x) for x in row) for row in mat_inv(M))
-    Mt = transpose(M)
-    Mtinv = transpose(Minv)
-    F = mat_mul(mat_mul(Mtinv, sing.monodromy), Mt)
+    Minv = unimodular_inverse(M)
+    F = mat_mul(mat_mul(transpose(Minv), sing.monodromy), transpose(M))
     return mat_mul(mat_mul(Minv, F), M)
 
 
@@ -511,15 +514,15 @@ def render_svg(base, q=None, viewport=None):
 
 def polytope_from_json(doc):
     try:
-        dim = int(doc["dimension"])
+        dim = as_int(doc["dimension"])
         if dim == 2:
-            verts = tuple(tuple(Fraction(x) for x in v) for v in doc["vertices"])
+            verts = tuple(tuple(as_rational(x) for x in v) for v in doc["vertices"])
             rays = doc.get("rays") or ()
             if rays:
-                rays = tuple(tuple(int(x) for x in r) for r in rays)
+                rays = tuple(tuple(as_int(x) for x in r) for r in rays)
             return MomentPolytope(2, verts, rays, ())
         facets = tuple(
-            (tuple(int(x) for x in f["normal"]), Fraction(f["rhs"]))
+            (tuple(as_int(x) for x in f["normal"]), as_rational(f["rhs"]))
             for f in doc["facets"])
         return MomentPolytope(dim, (), (), facets)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
@@ -532,15 +535,15 @@ def trades_from_json(doc):
         for tr in doc["trades"]:
             target = tr["target"]
             if isinstance(target, list):
-                target = tuple(int(x) for x in target)
+                target = tuple(as_int(x) for x in target)
             else:
-                target = int(target)
+                target = as_int(target)
             chart = None
             if tr.get("chart") is not None:
                 ch = tr["chart"]
-                chart = (tuple(tuple(int(x) for x in row) for row in ch["matrix"]),
-                         tuple(Fraction(x) for x in ch["translation"]))
-            out.append(NodalTrade(target, chart, Fraction(tr.get("t", 1))))
+                chart = (tuple(tuple(as_int(x) for x in row) for row in ch["matrix"]),
+                         tuple(as_rational(x) for x in ch["translation"]))
+            out.append(NodalTrade(target, chart, as_rational(tr.get("t", 1))))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise AlmostToricError("malformed trade document: %s" % e)
     return tuple(out)

@@ -124,6 +124,10 @@ def cmd_base_syz(args):
         viewport = (-3, -3, 3, 3)
         if args.viewport:
             viewport = tuple(Fraction(x) for x in args.viewport.split(","))
+            if (len(viewport) != 4 or viewport[0] >= viewport[2]
+                    or viewport[1] >= viewport[3]):
+                raise ValueError("viewport must be xmin,ymin,xmax,ymax with "
+                                 "xmin < xmax and ymin < ymax")
     except (SeedError, ValueError, ZeroDivisionError) as e:
         raise CliError(EXIT_VALIDATION, str(e))
     if args.convention == COCHARACTER:

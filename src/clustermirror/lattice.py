@@ -11,10 +11,6 @@ from fractions import Fraction
 from math import gcd
 
 
-def mat(rows):
-    return tuple(tuple(row) for row in rows)
-
-
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -82,10 +78,44 @@ def primitive_part(v):
     return tuple(a // g for a in v)
 
 
+def ext_gcd(a, b):
+    """Extended Euclid: (g, u, v) with u*a + v*b == g == gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_u, u = 1, 0
+    old_v, v = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_u, u = u, old_u - q * u
+        old_v, v = v, old_v - q * v
+    if old_r < 0:
+        return -old_r, -old_u, -old_v
+    return old_r, old_u, old_v
+
+
+def as_int(x):
+    """x if it is an int (bools excluded), else TypeError.
+
+    Document parsers use this so floats never enter exact arithmetic."""
+    if type(x) is not int:
+        raise TypeError("expected an integer, got %r" % (x,))
+    return x
+
+
+def as_rational(x):
+    """Fraction from an int (bools excluded) or a string such as "-3/4",
+    else TypeError."""
+    if isinstance(x, str):
+        return Fraction(x)
+    return Fraction(as_int(x))
+
+
 def det(M):
     """Exact determinant of an integer (or rational) square matrix.
 
     Fraction-free Bareiss elimination; stays in Z for integer input.
+    Kept apart from _rref because seed validation runs it on every
+    mutation, where rational Gauss-Jordan would be slower.
     """
     n = len(M)
     if any(len(row) != n for row in M):
@@ -116,123 +146,48 @@ def is_unimodular(M):
     return det(M) in (1, -1)
 
 
+def _rref(rows, ncols):
+    """Gauss-Jordan elimination over Q on the first ncols columns.
+
+    Returns the reduced rows (lists of Fractions) and the pivot columns.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
 def mat_inv(M):
     """Exact inverse over Q.  Raises on singular input."""
     n = len(M)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    a, pivots = _rref([list(row) + [int(i == j) for j in range(n)]
+                       for i, row in enumerate(M)], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in a)
 
 
-def _snf_swap_rows(a, u, i, j):
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
+def unimodular_inverse(M):
+    """Exact integer inverse of an integer matrix with determinant +-1.
 
-
-def _snf_swap_cols(a, v, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-
-
-def _snf_add_row(a, u, src, dst, c):
-    # dst += c * src
-    a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-    u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-
-def _snf_add_col(a, v, src, dst, c):
-    for row in a:
-        row[dst] += c * row[src]
-    for row in v:
-        row[dst] += c * row[src]
-
-
-def smith_normal_form(M):
-    """Smith normal form over Z.
-
-    Returns (U, D, V) with U*M*V = D, U and V unimodular, D diagonal
-    with nonnegative entries satisfying the divisibility chain
-    d1 | d2 | ... .  Standard row/column gcd reduction.
+    Raises ValueError when the inverse is not integral.
     """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    a = [list(row) for row in M]
-    u = [list(row) for row in identity(m)]
-    v = [list(row) for row in identity(n)]
-
-    def reduce_from(t0):
-        t = t0
-        while t < min(m, n):
-            piv = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if a[i][j] != 0:
-                        piv = (i, j)
-                        break
-                if piv:
-                    break
-            if piv is None:
-                break
-            _snf_swap_rows(a, u, t, piv[0])
-            _snf_swap_cols(a, v, t, piv[1])
-            while True:
-                for i in range(t + 1, m):
-                    if a[i][t] != 0:
-                        q = a[i][t] // a[t][t]
-                        _snf_add_row(a, u, t, i, -q)
-                        if a[i][t] != 0:
-                            _snf_swap_rows(a, u, t, i)
-                if any(a[i][t] for i in range(t + 1, m)):
-                    continue
-                for j in range(t + 1, n):
-                    if a[t][j] != 0:
-                        q = a[t][j] // a[t][t]
-                        _snf_add_col(a, v, t, j, -q)
-                        if a[t][j] != 0:
-                            _snf_swap_cols(a, v, t, j)
-                if any(a[i][t] for i in range(t + 1, m)):
-                    continue
-                if any(a[t][j] for j in range(t + 1, n)):
-                    continue
-                break
-            t += 1
-        return t
-
-    rank = reduce_from(0)
-
-    # enforce the divisibility chain: fold the next diagonal entry into
-    # the current pivot column and re-reduce from there
-    done = False
-    while not done:
-        done = True
-        for k in range(rank - 1):
-            if a[k + 1][k + 1] % a[k][k] != 0:
-                _snf_add_col(a, v, k + 1, k, 1)
-                reduce_from(k)
-                done = False
-                break
-
-    for k in range(rank):
-        if a[k][k] < 0:
-            for j in range(n):
-                a[k][j] = -a[k][j]
-            for j in range(m):
-                u[k][j] = -u[k][j]
-
-    return mat(u), mat(a), mat(v)
+    inv = mat_inv(M)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(x.numerator for x in row) for row in inv)
 
 
 @dataclass(frozen=True)
@@ -264,24 +219,8 @@ def solve_rational(A, b):
     n = len(A[0]) if m else 0
     if m != len(b):
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
+    aug, pivots = _rref([list(row) + [b[i]] for i, row in enumerate(A)], n)
+    r = len(pivots)
     for i in range(r, m):
         if aug[i][n] != 0:
             eq = " + ".join("%s*x%d" % (A[i][j], j) for j in range(n))
@@ -301,23 +240,3 @@ def solve_rational(A, b):
         basis.append(tuple(dirv))
     return AffineSubspace(tuple(point), tuple(basis))
 
-
-def torsion_order(L, n):
-    """Order of the torsion subgroup of Z^n / <L>.
-
-    Computed as the product of the nonzero elementary divisors of the
-    matrix with the given vectors as columns.  Empty L gives 1 (free
-    quotient, connected dual group).
-    """
-    for v in L:
-        if len(v) != n:
-            raise ValueError("vector length does not match rank")
-    if not L:
-        return 1
-    M = tuple(tuple(v[i] for v in L) for i in range(n))
-    _, D, _ = smith_normal_form(M)
-    order = 1
-    for k in range(min(n, len(L))):
-        if D[k][k] != 0:
-            order *= D[k][k]
-    return order

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .lattice import det, identity, mat_mul, mat_inv
+from .lattice import as_rational, det, ext_gcd, identity, mat_mul, mat_inv
 from .skeleton import circle_class, dehn_twist, intersection_number
 
 SIGN_TWIST = -1
@@ -135,20 +135,11 @@ def canonical_transversal(s):
     to the line s^perp (Gram rounding), which gives t = (0,1) for
     s = (1,0)."""
     a, b = s
-    # extended euclid for u*b + v*a = gcd
-    old_r, r = b, a
-    old_s, ss = 1, 0
-    old_t, tt = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, ss = ss, old_s - q * ss
-        old_t, tt = tt, old_t - q * tt
-    g, u, v = old_r, old_s, old_t
-    if g not in (1, -1):
+    g, u, v = ext_gcd(b, a)
+    if g != 1:
         raise LocalSystemError("circle class must be primitive")
-    # u*b + v*a = g; want t1*b - t2*a = -1
-    t0 = (-u * g, v * g)
+    # u*b + v*a = 1; want t1*b - t2*a = -1
+    t0 = (-u, v)
     assert t0[0] * b - t0[1] * a == -1
     lam = floor(Fraction(t0[0] * a + t0[1] * b, a * a + b * b) + Fraction(1, 2))
     return (t0[0] - lam * a, t0[1] - lam * b)
@@ -267,7 +258,7 @@ def serialize_local_system(ls):
 def deserialize_local_system(doc):
     try:
         hol = [
-            [[Fraction(x) for x in row] for row in A]
+            [[as_rational(x) for x in row] for row in A]
             for A in doc["holonomies"]
         ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:

@@ -21,7 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .lattice import det, identity, is_unimodular, mat, vec_add, vec_neg, vec_scale
+from .lattice import as_int, is_unimodular, vec_add, vec_neg, vec_scale
 
 
 class SeedError(ValueError):
@@ -167,11 +167,11 @@ def serialize_seed(s):
 def deserialize_seed(doc):
     try:
         return Seed(
-            int(doc["rank"]),
-            int(doc["unfrozen"]),
-            mat(doc["psi"]),
-            mat(doc["B"]),
-            tuple(int(x) for x in doc["d"]),
+            as_int(doc["rank"]),
+            as_int(doc["unfrozen"]),
+            tuple(tuple(as_int(x) for x in p) for p in doc["psi"]),
+            tuple(tuple(as_int(x) for x in row) for row in doc["B"]),
+            tuple(as_int(x) for x in doc["d"]),
         )
     except (KeyError, TypeError) as e:
         raise SeedError("malformed seed document: %s" % e)
@@ -197,6 +197,8 @@ def exchange_graph(s, depth, max_nodes=None):
     form.  If the node budget is exceeded the graph is returned partial
     with truncated=True.
     """
+    if depth < 0:
+        raise SeedError("depth must be nonnegative")
     if max_nodes is None:
         max_nodes = node_budget()
     nodes = []            # seeds in discovery order

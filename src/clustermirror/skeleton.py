@@ -22,10 +22,8 @@ seed.
 
 from dataclasses import dataclass
 
-from .lattice import primitive_part, is_primitive
-from .seed import SeedError, mutate
-from .toric_model import blowup_characters, fan_from_seed
-from .lattice import torsion_order
+from .lattice import as_int, content, is_primitive, primitive_part
+from .toric_model import blowup_characters
 
 
 class SkeletonError(ValueError):
@@ -79,8 +77,9 @@ def skeleton_from_seed(s):
 def bondal_strata(fan):
     strata = [BondalStratum((), fan.n, 1)]
     for i, (psi, d) in enumerate(fan.rays):
-        gen = tuple(d * x for x in psi)
-        strata.append(BondalStratum((i,), fan.n - 1, torsion_order([gen], fan.n)))
+        # Z^n / <v> = Z^(n-1) + Z/content(v); a zero ray leaves Z^n free
+        components = content(tuple(d * x for x in psi)) or 1
+        strata.append(BondalStratum((i,), fan.n - 1, components))
     return strata
 
 
@@ -153,9 +152,10 @@ def skeleton_to_json(sk):
 def skeleton_from_json(doc):
     try:
         handles = tuple(
-            Handle(tuple(h["psi"]), tuple(h["chi"]), int(h["d"]))
+            Handle(tuple(as_int(x) for x in h["psi"]),
+                   tuple(as_int(x) for x in h["chi"]), as_int(h["d"]))
             for h in doc["handles"]
         )
-        return Skeleton(int(doc["rank"]), handles)
+        return Skeleton(as_int(doc["rank"]), handles)
     except (KeyError, TypeError) as e:
         raise SkeletonError("malformed skeleton document: %s" % e)

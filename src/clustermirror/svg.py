@@ -65,12 +65,6 @@ class SvgCanvas:
             % (fmt(x - h), fmt(y - h), fmt(x + h), fmt(y + h),
                fmt(x - h), fmt(y + h), fmt(x + h), fmt(y - h), stroke, width))
 
-    def text(self, c, s, size=12, fill="black"):
-        x, y = self.px(c)
-        self.elems.append(
-            '<text x="%s" y="%s" font-size="%s" fill="%s">%s</text>'
-            % (fmt(x), fmt(y), size, fill, s))
-
     def grid(self, stroke="#dddddd"):
         import math
         x = math.ceil(self.xmin)

@@ -22,9 +22,8 @@ constant (CONJUGATION_SIGN below) and tests assert it never varies.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .lattice import is_primitive, mat_mul, mat_vec, transpose
+from .lattice import ext_gcd, is_primitive, transpose
 from .svg import SvgCanvas
 
 CONJUGATION_SIGN = -1
@@ -59,20 +58,9 @@ def monodromy_matrix(psi):
 def bezout_complete(psi):
     """Some A in SL(2,Z) with A e1 = psi."""
     a, b = psi
-    if gcd(a, b) != 1:
+    g, u, v = ext_gcd(a, b)
+    if g != 1:
         raise ValueError("cannot complete an imprimitive vector to a basis")
-    # extended euclid: u*a + v*b = 1
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    u, v = old_s, old_t
-    if old_r < 0:
-        u, v = -u, -v
     # columns psi and (-v, u): determinant a*u + b*v = 1
     return ((a, -v), (b, u))
 

@@ -9,12 +9,12 @@ around run_suites.
 import random
 from fractions import Fraction
 
-from .lattice import mat_mul, mat_inv, transpose
+from .lattice import mat_inv, mat_mul, transpose, unimodular_inverse
 from .seed import (Seed, exchange_matrix, matrix_mutation_oracle, mutate,
                    is_skew_symmetrizable, serialize_seed)
 from .skeleton import disk_surgery, skeleton_from_seed, intersection_number, dehn_twist
 from .syz_base import monodromy_matrix, base_from_fan, toggle_convention
-from .toric_model import fan_from_seed, StackyFan1D
+from .toric_model import StackyFan1D
 from .local_system import (SIGN_TWIST, holonomy_around, is_mutable, local_system,
                            mutate_local_system)
 from .almost_toric import (MomentPolytope, NodalTrade, apply_trades,
@@ -131,7 +131,7 @@ def suite_duality(rng, cases=100):
     for _ in range(cases):
         psi = random_primitive(rng)
         A = bezout_complete(psi)
-        M = mat_mul(shear, tuple(tuple(int(x) for x in row) for row in mat_inv(A)))
+        M = mat_mul(shear, unimodular_inverse(A))
         base = apply_trades(quadrant, (NodalTrade(0, (M, (Fraction(0), Fraction(0)))),))
         recorded = base.singularities[0].monodromy
         b_side = monodromy_matrix(psi)

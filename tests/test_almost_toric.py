@@ -153,6 +153,14 @@ def test_nd_trades_and_interactions():
     assert sk.handles[1] == Handle((0, 0, 1, 1), (0, 0, 1, -1), 1)
 
 
+def test_nd_chart_shape_rejected():
+    poly, _ = _c2c2()
+    short_row = identity(4)[:3] + ((0, 0, 0),)
+    for chart in ((identity(4), (Fraction(0),) * 3), (short_row, (Fraction(0),) * 4)):
+        with pytest.raises(AlmostToricError, match="4x4 matrix"):
+            apply_trades(poly, (NodalTrade((0, 1), chart),))
+
+
 def test_nd_disjoint_faces_empty_report():
     facets = tuple((tuple(int(i == j) for j in range(3)), Fraction(0)) for i in range(3)) \
         + (((-1, 0, 0), Fraction(-4)),)

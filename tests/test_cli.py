@@ -195,3 +195,61 @@ def test_verify_reports_deterministic(tmp_path):
                     "--cases", "30", "--report", str(rep)]) == 0
         reps.append(rep.read_bytes())
     assert reps[0] == reps[1]
+
+
+SEED = {"rank": 2, "unfrozen": 2, "psi": [[1, 0], [0, 1]],
+        "B": [[0, 1], [-1, 0]], "d": [1, 1]}
+QUADRANT = str(FIXTURES / "quadrant_polytope.json")
+STD_TRADE = str(FIXTURES / "std_trade.json")
+
+
+@pytest.mark.parametrize("argv, doc", [
+    pytest.param(["seed", "mutate", "--sequence", "1", "--seed"],
+                 dict(SEED, B=[[0, 1.5], [-1.5, 0]]), id="seed-B-float"),
+    pytest.param(["seed", "model", "--seed"],
+                 dict(SEED, psi=[[1.0, 0], [0, 1]]), id="seed-psi-float"),
+    pytest.param(["seed", "mutate", "--sequence", "1", "--seed"],
+                 dict(SEED, d=[1.5, 1]), id="seed-d-float"),
+    pytest.param(["skeleton", "surgery", "--handle", "1", "--skeleton"],
+                 {"rank": 2, "handles": [{"psi": [1, 0], "chi": [0, 1], "d": 1.5}]},
+                 id="skeleton-d-float"),
+    pytest.param(["base", "trade", "--trades", STD_TRADE, "--polytope"],
+                 {"dimension": 2, "vertices": [["0", "0"]], "rays": [[0, 1], [1.5, 0]]},
+                 id="polytope-ray-float"),
+    pytest.param(["base", "trade", "--polytope", QUADRANT, "--trades"],
+                 {"trades": [{"target": 0, "chart": {"matrix": [[1.5, 0], [0, 1]],
+                                                     "translation": ["0", "0"]}}]},
+                 id="trade-chart-float"),
+    pytest.param(["seed", "mutate", "--sequence", "1", "--seed"],
+                 dict(SEED, psi=[[True, 0], [0, 1]]), id="seed-psi-bool"),
+    pytest.param(["locsys", "mutate", "--handle-class", "1,0", "--locsys"],
+                 {"rank": 1, "loops": 2, "holonomies": [[[0.1]], [["3"]]]},
+                 id="holonomy-float"),
+])
+def test_inexact_numbers_exit_2(tmp_path, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(argv + [str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_trade_chart_shape_exit_2(tmp_path, capsys):
+    trades = tmp_path / "trades.json"
+    trades.write_text(json.dumps(
+        {"trades": [{"target": 0, "chart": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                            "translation": ["0", "0", "0"]}}]}))
+    assert run(["base", "trade", "--polytope", QUADRANT, "--trades", str(trades),
+                "--out", str(tmp_path / "x.svg")]) == 2
+    assert "2x2 matrix" in capsys.readouterr().err
+
+
+def test_base_syz_viewport_exit_2(tmp_path, capsys):
+    for value in ("3,3,-3,-3", "-3,3,3,-3", "-3,-3,3"):
+        assert run(["base", "syz", "--seed", str(FIXTURES / "a2_seed.json"),
+                    "--viewport=" + value, "--out", str(tmp_path / "b.svg")]) == 2
+        assert "viewport" in capsys.readouterr().err
+
+
+def test_seed_graph_negative_depth_exit_2(capsys):
+    assert run(["seed", "graph", "--seed", str(FIXTURES / "a2_seed.json"),
+                "--depth", "-1"]) == 2
+    assert "depth" in capsys.readouterr().err

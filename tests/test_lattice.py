@@ -1,13 +1,16 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clustermirror.lattice import (AffineSubspace, Infeasible, Point, det,
-                                   is_primitive, mat_mul, primitive_part,
-                                   smith_normal_form, solve_rational,
-                                   torsion_order)
+                                   ext_gcd, identity, is_primitive, mat_inv,
+                                   mat_mul, primitive_part, solve_rational,
+                                   unimodular_inverse)
+from clustermirror.skeleton import bondal_strata
+from clustermirror.toric_model import StackyFan1D
 
 
 def test_is_primitive_examples():
@@ -24,43 +27,6 @@ def test_det_examples():
     assert det(tuple(tuple(int(i == j) for j in range(4)) for i in range(4))) == 1
     with pytest.raises(ValueError):
         det(((1, 2, 3), (4, 5, 6)))
-
-
-def test_snf_examples():
-    _, D, _ = smith_normal_form(((3, 0), (0, 1)))
-    assert D == ((1, 0), (0, 3))
-    _, D, _ = smith_normal_form(((1, 0), (0, 1)))
-    assert D == ((1, 0), (0, 1))
-    # determinant 4 with entry gcd 2 forces divisors (2, 2)
-    _, D, _ = smith_normal_form(((2, 4), (0, 2)))
-    assert D == ((2, 0), (0, 2))
-
-
-small_mats = st.integers(1, 6).flatmap(
-    lambda m: st.integers(1, 6).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-            min_size=m, max_size=m)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_mats)
-def test_snf_properties(rows):
-    M = tuple(tuple(r) for r in rows)
-    U, D, V = smith_normal_form(M)
-    assert mat_mul(mat_mul(U, M), V) == D
-    assert det(U) in (1, -1) and det(V) in (1, -1)
-    diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
-    for i in range(len(D)):
-        for j in range(len(D[0])):
-            if i != j:
-                assert D[i][j] == 0
-    nz = [x for x in diag if x != 0]
-    assert all(x > 0 for x in nz)
-    for a, b in zip(nz, nz[1:]):
-        assert b % a == 0
-    # zeros come after the nonzero chain
-    assert diag == nz + [0] * (len(diag) - len(nz))
 
 
 def test_solve_examples():
@@ -91,10 +57,16 @@ def test_solve_satisfies_equations(rows, b):
                 assert sum(Fraction(c) * x for c, x in zip(row, d)) == 0
 
 
+def ray_components(v, d=1):
+    """Components of the Bondal stratum of the single ray (v, d)."""
+    return bondal_strata(StackyFan1D(len(v), ((v, d),)))[1].components
+
+
 def test_torsion_examples():
-    assert torsion_order([(3, 0)], 2) == 3
-    assert torsion_order([(1, 0)], 2) == 1
-    assert torsion_order([], 2) == 1
+    assert ray_components((3, 0)) == 3
+    assert ray_components((1, 0)) == 1
+    assert ray_components((1, 0), 3) == 3
+    assert ray_components((0, 0)) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,4 +76,62 @@ def test_torsion_scaling(v, d):
     if all(x == 0 for x in v):
         return
     v = primitive_part(v)
-    assert torsion_order([tuple(d * x for x in v)], 3) == d * torsion_order([v], 3)
+    assert ray_components(v, d) == d * ray_components(v)
+    assert ray_components(tuple(d * x for x in v)) == d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_ext_gcd(a, b):
+    g, u, v = ext_gcd(a, b)
+    assert u * a + v * b == g == gcd(a, b)
+
+
+def square_mats(entries):
+    return st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n).map(lambda rows: tuple(map(tuple, rows))))
+
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(square_mats(st.integers(-9, 9)), square_mats(fractions)))
+def test_mat_inv_is_inverse(M):
+    assume(det(M) != 0)
+    assert mat_mul(M, mat_inv(M)) == identity(len(M))
+    assert mat_mul(mat_inv(M), M) == identity(len(M))
+
+
+def test_mat_inv_rejects_singular():
+    with pytest.raises(ValueError):
+        mat_inv(((1, 2), (2, 4)))
+    with pytest.raises(ValueError):
+        mat_inv(((1, 0, 0), (0, 0, 0), (0, 0, 1)))
+
+
+@st.composite
+def unimodular_mats(draw):
+    """Products of random sign flips and elementary transvections."""
+    n = draw(st.integers(1, 5))
+    M = [list(row) for row in identity(n)]
+    for _ in range(draw(st.integers(0, 10))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            M[i] = [-x for x in M[i]]
+        else:
+            c = draw(st.integers(-3, 3))
+            M[i] = [x + c * y for x, y in zip(M[i], M[j])]
+    return tuple(map(tuple, M))
+
+
+@settings(max_examples=100, deadline=None)
+@given(unimodular_mats())
+def test_unimodular_inverse(M):
+    inv = unimodular_inverse(M)
+    assert inv == mat_inv(M)
+    assert all(type(x) is int for row in inv for x in row)
+    doubled = (tuple(2 * x for x in M[0]),) + M[1:]     # determinant +-2
+    with pytest.raises(ValueError):
+        unimodular_inverse(doubled)
