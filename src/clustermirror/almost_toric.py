@@ -23,9 +23,10 @@ B-side monodromy of the eigen direction.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (Infeasible, Point, as_int, as_rational, is_unimodular,
-                      mat_inv, mat_mul, mat_vec, primitive_part, solve_rational,
-                      transpose, unimodular_inverse, vec_sub)
+from .lattice import (Infeasible, Point, as_int, as_rational, ints, is_unimodular,
+                      malformed, mat_inv, mat_mul, mat_vec, primitive_part,
+                      rational_strings, rationals, solve_rational, transpose,
+                      unimodular_inverse, vec_sub)
 from .skeleton import Handle, Skeleton, circle_class
 from .svg import SvgCanvas
 
@@ -234,10 +235,22 @@ def _trade_singularity_2d(poly, trade):
 
 
 def _facet(poly, i):
-    try:
-        return poly.facets[i]
-    except IndexError:
+    if type(i) is not int or not 0 <= i < len(poly.facets):
         raise AlmostToricError("no such facet")
+    return poly.facets[i]
+
+
+def _check_target(poly, target):
+    """A 2D trade targets one vertex, an nD trade two distinct facets."""
+    if poly.dimension == 2:
+        if type(target) is not int or not 0 <= target < len(poly.vertices):
+            raise AlmostToricError("a 2D trade targets one vertex index, got %r" % (target,))
+    elif type(target) is not tuple or len(target) != 2 or target[0] == target[1]:
+        raise AlmostToricError("a trade in dimension %d targets two distinct facet "
+                               "indices, got %r" % (poly.dimension, target))
+    else:
+        for i in target:
+            _facet(poly, i)
 
 
 def _trade_singularity_nd(poly, trade):
@@ -265,18 +278,14 @@ def detect_interactions(poly, trades):
     out = []
     for ai in range(len(trades)):
         for bi in range(ai + 1, len(trades)):
-            fa, fb = trades[ai].target, trades[bi].target
-            eqs = []
-            for fid in set(fa) | set(fb):
-                nrm, rhs = _facet(poly, fid)
-                eqs.append((nrm, rhs))
+            faces = set(trades[ai].target) | set(trades[bi].target)
+            eqs = [_facet(poly, fid) for fid in faces]
             A = [list(n) for n, _ in eqs]
             b = [r for _, r in eqs]
             sol = solve_rational(A, b)
             if isinstance(sol, Infeasible):
                 continue
-            ineqs = [(_facet(poly, i)) for i in range(len(poly.facets))
-                     if i not in set(fa) | set(fb)]
+            ineqs = [f for i, f in enumerate(poly.facets) if i not in faces]
             if isinstance(sol, Point):
                 ok = all(sum(Fraction(n[j]) * sol.coords[j] for j in range(len(n))) >= r
                          for n, r in ineqs)
@@ -319,6 +328,8 @@ def _feasible_on_subspace(sub, ineqs):
 
 def apply_trades(poly, trades):
     targets = [tr.target for tr in trades]
+    for target in targets:
+        _check_target(poly, target)
     if len(set(targets)) != len(targets):
         raise AlmostToricError("trade targets must be distinct")
     if poly.dimension == 2:
@@ -513,39 +524,27 @@ def render_svg(base, q=None, viewport=None):
 
 
 def polytope_from_json(doc):
-    try:
+    with malformed(AlmostToricError, "polytope"):
         dim = as_int(doc["dimension"])
         if dim == 2:
-            verts = tuple(tuple(as_rational(x) for x in v) for v in doc["vertices"])
-            rays = doc.get("rays") or ()
-            if rays:
-                rays = tuple(tuple(as_int(x) for x in r) for r in rays)
-            return MomentPolytope(2, verts, rays, ())
-        facets = tuple(
-            (tuple(as_int(x) for x in f["normal"]), as_rational(f["rhs"]))
-            for f in doc["facets"])
-        return MomentPolytope(dim, (), (), facets)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-        raise AlmostToricError("malformed polytope document: %s" % e)
+            return MomentPolytope(2, tuple(rationals(v, 2) for v in doc["vertices"]),
+                                  tuple(ints(r, 2) for r in doc.get("rays") or ()), ())
+        facets = doc["facets"] if dim > 2 else ()   # MomentPolytope rejects dim < 2
+        return MomentPolytope(dim, (), (), tuple(
+            (ints(f["normal"], dim), as_rational(f["rhs"])) for f in facets))
 
 
 def trades_from_json(doc):
     out = []
-    try:
+    with malformed(AlmostToricError, "trade"):
         for tr in doc["trades"]:
             target = tr["target"]
-            if isinstance(target, list):
-                target = tuple(as_int(x) for x in target)
-            else:
-                target = as_int(target)
-            chart = None
-            if tr.get("chart") is not None:
-                ch = tr["chart"]
-                chart = (tuple(tuple(as_int(x) for x in row) for row in ch["matrix"]),
-                         tuple(as_rational(x) for x in ch["translation"]))
+            target = ints(target) if isinstance(target, list) else as_int(target)
+            chart = tr.get("chart")
+            if chart is not None:
+                chart = (tuple(ints(row) for row in chart["matrix"]),
+                         rationals(chart["translation"]))
             out.append(NodalTrade(target, chart, as_rational(tr.get("t", 1))))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-        raise AlmostToricError("malformed trade document: %s" % e)
     return tuple(out)
 
 
@@ -554,7 +553,7 @@ def base_to_json(base):
         "dimension": base.polytope.dimension,
         "singularities": [
             {
-                "position": [str(Fraction(x)) for x in s.position],
+                "position": rational_strings(s.position),
                 "eigen": list(s.eigen),
                 "monodromy": [list(row) for row in s.monodromy] if s.monodromy else None,
             }

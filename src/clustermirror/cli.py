@@ -11,19 +11,16 @@ and identical inputs always produce byte-identical outputs.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .seed import (SeedError, deserialize_seed, exchange_graph, mutate,
-                   serialize_seed, node_budget)
+from .lattice import rational_strings, rationals
+from .seed import deserialize_seed, exchange_graph, mutate, serialize_seed, node_budget
 from .toric_model import fan_from_seed, model_to_json, toric_model
 from .syz_base import (CHARACTER, COCHARACTER, base_from_fan, base_to_json,
                        render_svg as render_syz_svg, toggle_convention)
-from .skeleton import (SkeletonError, disk_surgery, skeleton_from_json,
-                       skeleton_from_seed, skeleton_to_json)
-from .local_system import (LocalSystemError, NotMutable, chart_transition,
-                           deserialize_local_system, mutate_local_system,
-                           serialize_local_system)
-from .almost_toric import (AlmostToricError, InfeasibleBase, apply_trades,
+from .skeleton import disk_surgery, skeleton_from_json, skeleton_from_seed, skeleton_to_json
+from .local_system import (NotMutable, chart_transition, deserialize_local_system,
+                           mutate_local_system, serialize_local_system)
+from .almost_toric import (InfeasibleBase, apply_trades,
                            base_to_json as atf_base_to_json, common_basepoint,
                            polytope_from_json, render_svg as render_trade_svg,
                            trades_from_json)
@@ -35,21 +32,14 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 
 
-class CliError(Exception):
-    def __init__(self, code, message):
-        self.code = code
-        self.message = message
-
-
 def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as e:
-        raise CliError(EXIT_VALIDATION, "cannot read %s: %s" % (path, e))
+        raise ValueError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
-        raise CliError(EXIT_VALIDATION,
-                       "%s: invalid JSON at line %d column %d" % (path, e.lineno, e.colno))
+        raise ValueError("%s: invalid JSON at line %d column %d" % (path, e.lineno, e.colno))
 
 
 def _write(path, text):
@@ -64,13 +54,6 @@ def _dump_json(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _load_seed(path):
-    try:
-        return deserialize_seed(_load_json(path))
-    except SeedError as e:
-        raise CliError(EXIT_VALIDATION, str(e))
-
-
 def _parse_sequence(raw, r):
     out = []
     for tok in raw.split(","):
@@ -80,135 +63,91 @@ def _parse_sequence(raw, r):
         try:
             k = int(tok)
         except ValueError:
-            raise CliError(EXIT_VALIDATION, "bad mutation index %r" % tok)
+            raise ValueError("bad mutation index %r" % tok)
         if not (1 <= k <= r):
-            raise CliError(EXIT_VALIDATION,
-                           "mutation index %d out of range (1..%d)" % (k, r))
+            raise ValueError("mutation index %d out of range (1..%d)" % (k, r))
         out.append(k - 1)
     return out
 
 
+def _parse_handle_class(raw):
+    try:
+        s = tuple(int(x) for x in raw.split(","))
+    except ValueError as e:
+        raise ValueError("bad handle class: %s" % e)
+    if len(s) != 2:
+        raise ValueError("handle class must be two integers")
+    return s
+
+
 def cmd_seed_mutate(args):
-    s = _load_seed(args.seed)
+    s = deserialize_seed(_load_json(args.seed))
     for k in _parse_sequence(args.sequence, s.r):
         s = mutate(s, k)
     _write(args.out, _dump_json(serialize_seed(s)))
-    return EXIT_OK
 
 
 def cmd_seed_graph(args):
-    s = _load_seed(args.seed)
+    s = deserialize_seed(_load_json(args.seed))
     g = exchange_graph(s, args.depth, max_nodes=node_budget())
     _write(args.out, _dump_json(g))
-    return EXIT_OK
 
 
 def cmd_seed_model(args):
-    s = _load_seed(args.seed)
-    try:
-        m = toric_model(s)
-    except SeedError as e:
-        raise CliError(EXIT_VALIDATION, str(e))
+    m = toric_model(deserialize_seed(_load_json(args.seed)))
     _write(args.out, _dump_json(model_to_json(m)))
-    return EXIT_OK
 
 
 def cmd_base_syz(args):
-    s = _load_seed(args.seed)
-    try:
-        fan = fan_from_seed(s)
-        radii = None
-        if args.radii:
-            radii = [Fraction(x) for x in args.radii.split(",")]
-        base = base_from_fan(fan, radii)
-        viewport = (-3, -3, 3, 3)
-        if args.viewport:
-            viewport = tuple(Fraction(x) for x in args.viewport.split(","))
-            if (len(viewport) != 4 or viewport[0] >= viewport[2]
-                    or viewport[1] >= viewport[3]):
-                raise ValueError("viewport must be xmin,ymin,xmax,ymax with "
-                                 "xmin < xmax and ymin < ymax")
-    except (SeedError, ValueError, ZeroDivisionError) as e:
-        raise CliError(EXIT_VALIDATION, str(e))
+    fan = fan_from_seed(deserialize_seed(_load_json(args.seed)))
+    radii = rationals(args.radii.split(",")) if args.radii else None
+    base = base_from_fan(fan, radii)
+    viewport = (-3, -3, 3, 3)
+    if args.viewport:
+        viewport = rationals(args.viewport.split(","))
+        if (len(viewport) != 4 or viewport[0] >= viewport[2]
+                or viewport[1] >= viewport[3]):
+            raise ValueError("viewport must be xmin,ymin,xmax,ymax with "
+                             "xmin < xmax and ymin < ymax")
     if args.convention == COCHARACTER:
         base = toggle_convention(base)
     _write(args.out, render_syz_svg(base, viewport))
     if args.json:
         _write(args.json, _dump_json(base_to_json(base)))
-    return EXIT_OK
 
 
 def cmd_base_trade(args):
-    try:
-        poly = polytope_from_json(_load_json(args.polytope))
-        trades = trades_from_json(_load_json(args.trades))
-        base = apply_trades(poly, trades)
-    except AlmostToricError as e:
-        raise CliError(EXIT_VALIDATION, str(e))
-    q = None
-    if args.skeleton:
-        try:
-            q, _sub = common_basepoint(base)
-        except InfeasibleBase as e:
-            raise CliError(EXIT_INFEASIBLE, str(e))
+    poly = polytope_from_json(_load_json(args.polytope))
+    trades = trades_from_json(_load_json(args.trades))
+    base = apply_trades(poly, trades)
+    q = common_basepoint(base)[0] if args.skeleton else None
     _write(args.out, render_trade_svg(base, q=q))
     if args.json:
         _write(args.json, _dump_json(atf_base_to_json(base)))
-    return EXIT_OK
 
 
 def cmd_skeleton_build(args):
-    s = _load_seed(args.seed)
-    try:
-        sk = skeleton_from_seed(s)
-    except SkeletonError as e:
-        raise CliError(EXIT_VALIDATION, str(e))
+    sk = skeleton_from_seed(deserialize_seed(_load_json(args.seed)))
     _write(args.out, _dump_json(skeleton_to_json(sk)))
-    return EXIT_OK
 
 
 def cmd_skeleton_surgery(args):
-    try:
-        sk = skeleton_from_json(_load_json(args.skeleton))
-        out = disk_surgery(sk, args.handle - 1)
-    except SkeletonError as e:
-        raise CliError(EXIT_VALIDATION, str(e))
+    sk = skeleton_from_json(_load_json(args.skeleton))
+    out = disk_surgery(sk, args.handle - 1)
     _write(args.out, _dump_json(skeleton_to_json(out)))
-    return EXIT_OK
 
 
 def cmd_locsys_mutate(args):
-    try:
-        ls = deserialize_local_system(_load_json(args.locsys))
-        s = tuple(int(x) for x in args.handle_class.split(","))
-        if len(s) != 2:
-            raise CliError(EXIT_VALIDATION, "handle class must be two integers")
-    except LocalSystemError as e:
-        raise CliError(EXIT_VALIDATION, str(e))
-    except ValueError as e:
-        raise CliError(EXIT_VALIDATION, "bad handle class: %s" % e)
-    try:
-        out, adapted = mutate_local_system(ls, s)
-    except NotMutable as e:
-        raise CliError(EXIT_INFEASIBLE, str(e))
-    except LocalSystemError as e:
-        raise CliError(EXIT_VALIDATION, str(e))
+    ls = deserialize_local_system(_load_json(args.locsys))
+    out, adapted = mutate_local_system(ls, _parse_handle_class(args.handle_class))
     doc = serialize_local_system(out)
-    doc["adapted"] = [[[str(x) for x in row] for row in A] for A in adapted]
+    doc["adapted"] = [[rational_strings(row) for row in A] for A in adapted]
     _write(args.out, _dump_json(doc))
-    return EXIT_OK
 
 
 def cmd_locsys_transition(args):
-    s = _load_seed(args.seed)
-    try:
-        fns = chart_transition(s, args.k - 1)
-    except NotMutable as e:
-        raise CliError(EXIT_INFEASIBLE, str(e))
-    except (LocalSystemError, SkeletonError) as e:
-        raise CliError(EXIT_VALIDATION, str(e))
+    fns = chart_transition(deserialize_seed(_load_json(args.seed)), args.k - 1)
     _write(args.out, "".join("x%d' = %s\n" % (i + 1, f) for i, f in enumerate(fns)))
-    return EXIT_OK
 
 
 def cmd_verify(args):
@@ -227,7 +166,6 @@ def cmd_verify(args):
             _write(path, _dump_json(doc))
         sys.stdout.write("counterexamples written to %s\n" % path)
         return EXIT_INVARIANT
-    return EXIT_OK
 
 
 def build_parser():
@@ -306,11 +244,12 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_VALIDATION if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except CliError as e:
-        sys.stderr.write(e.message + "\n")
-        return e.code
-    except (SeedError, SkeletonError, LocalSystemError, AlmostToricError, ValueError) as e:
+        # a command returns nothing, or EXIT_INVARIANT when verify fails
+        return args.fn(args) or EXIT_OK
+    except (NotMutable, InfeasibleBase) as e:
+        sys.stderr.write(str(e) + "\n")
+        return EXIT_INFEASIBLE
+    except ValueError as e:
         sys.stderr.write(str(e) + "\n")
         return EXIT_VALIDATION
 

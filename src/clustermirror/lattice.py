@@ -6,6 +6,7 @@ matrices are tuples of row tuples.  Values are immutable, functions are
 pure, so everything is safe to share.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -96,18 +97,60 @@ def ext_gcd(a, b):
 def as_int(x):
     """x if it is an int (bools excluded), else TypeError.
 
-    Document parsers use this so floats never enter exact arithmetic."""
+    Document readers use this so floats never enter exact arithmetic."""
     if type(x) is not int:
         raise TypeError("expected an integer, got %r" % (x,))
     return x
 
 
 def as_rational(x):
-    """Fraction from an int (bools excluded) or a string such as "-3/4",
-    else TypeError."""
+    """Fraction from an int (bools excluded) or a string such as "-3/4".
+
+    TypeError for any other type, ValueError for a string that is not a
+    rational number or has a zero denominator."""
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError as e:
+            raise ValueError(str(e))
     return Fraction(as_int(x))
+
+
+def _entries(x, n):
+    if not isinstance(x, (list, tuple)):
+        raise TypeError("expected a list, got %r" % (x,))
+    if n is not None and len(x) != n:
+        raise ValueError("expected %d entries, got %d" % (n, len(x)))
+    return x
+
+
+def ints(x, n=None):
+    """A list of ints (as_int) as a tuple, of exactly n entries if n is given."""
+    return tuple(as_int(a) for a in _entries(x, n))
+
+
+def rationals(x, n=None):
+    """A list of exact rationals (as_rational) as a tuple of Fractions, of
+    exactly n entries if n is given."""
+    return tuple(as_rational(a) for a in _entries(x, n))
+
+
+@contextmanager
+def malformed(error, what):
+    """Wraps a document reader: a missing key, a wrong type or a bad value
+    becomes error("malformed <what> document: ..."), while the module's
+    own error passes through unchanged."""
+    try:
+        yield
+    except error:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise error("malformed %s document: %s" % (what, e))
+
+
+def rational_strings(v):
+    """Exact numbers written as strings such as "-3/4", for JSON output."""
+    return [str(Fraction(x)) for x in v]
 
 
 def det(M):

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .lattice import as_rational, det, ext_gcd, identity, mat_mul, mat_inv
+from .lattice import (det, ext_gcd, identity, malformed, mat_inv, mat_mul, rationals,
+                      rational_strings)
 from .skeleton import circle_class, dehn_twist, intersection_number
 
 SIGN_TWIST = -1
@@ -249,18 +250,10 @@ def serialize_local_system(ls):
     return {
         "rank": ls.rank,
         "loops": ls.n,
-        "holonomies": [
-            [[str(x) for x in row] for row in A] for A in ls.holonomies
-        ],
+        "holonomies": [[rational_strings(row) for row in A] for A in ls.holonomies],
     }
 
 
 def deserialize_local_system(doc):
-    try:
-        hol = [
-            [[as_rational(x) for x in row] for row in A]
-            for A in doc["holonomies"]
-        ]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-        raise LocalSystemError("malformed local system document: %s" % e)
-    return local_system(hol)
+    with malformed(LocalSystemError, "local system"):
+        return local_system([[rationals(row) for row in A] for A in doc["holonomies"]])

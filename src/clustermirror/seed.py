@@ -21,7 +21,8 @@ import json
 import os
 from dataclasses import dataclass
 
-from .lattice import as_int, is_unimodular, vec_add, vec_neg, vec_scale
+from .lattice import (as_int, ints, is_unimodular, malformed, vec_add, vec_neg,
+                      vec_scale)
 
 
 class SeedError(ValueError):
@@ -165,16 +166,10 @@ def serialize_seed(s):
 
 
 def deserialize_seed(doc):
-    try:
-        return Seed(
-            as_int(doc["rank"]),
-            as_int(doc["unfrozen"]),
-            tuple(tuple(as_int(x) for x in p) for p in doc["psi"]),
-            tuple(tuple(as_int(x) for x in row) for row in doc["B"]),
-            tuple(as_int(x) for x in doc["d"]),
-        )
-    except (KeyError, TypeError) as e:
-        raise SeedError("malformed seed document: %s" % e)
+    with malformed(SeedError, "seed"):
+        return Seed(as_int(doc["rank"]), as_int(doc["unfrozen"]),
+                    tuple(ints(p) for p in doc["psi"]),
+                    tuple(ints(row) for row in doc["B"]), ints(doc["d"]))
 
 
 DEFAULT_BUDGET = 10000

@@ -22,7 +22,7 @@ seed.
 
 from dataclasses import dataclass
 
-from .lattice import as_int, content, is_primitive, primitive_part
+from .lattice import as_int, content, ints, is_primitive, malformed, primitive_part
 from .toric_model import blowup_characters
 
 
@@ -150,12 +150,7 @@ def skeleton_to_json(sk):
 
 
 def skeleton_from_json(doc):
-    try:
-        handles = tuple(
-            Handle(tuple(as_int(x) for x in h["psi"]),
-                   tuple(as_int(x) for x in h["chi"]), as_int(h["d"]))
-            for h in doc["handles"]
-        )
+    with malformed(SkeletonError, "skeleton"):
+        handles = tuple(Handle(ints(h["psi"]), ints(h["chi"]), as_int(h["d"]))
+                        for h in doc["handles"])
         return Skeleton(as_int(doc["rank"]), handles)
-    except (KeyError, TypeError) as e:
-        raise SkeletonError("malformed skeleton document: %s" % e)

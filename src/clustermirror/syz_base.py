@@ -23,7 +23,7 @@ constant (CONJUGATION_SIGN below) and tests assert it never varies.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import ext_gcd, is_primitive, transpose
+from .lattice import ext_gcd, is_primitive, rational_strings, transpose
 from .svg import SvgCanvas
 
 CONJUGATION_SIGN = -1
@@ -111,10 +111,10 @@ def base_to_json(base):
         "convention": base.convention,
         "singularities": [
             {
-                "position": [str(Fraction(x)) for x in s.position],
+                "position": rational_strings(s.position),
                 "direction": list(s.direction),
                 "monodromy": [list(row) for row in s.monodromy],
-                "cut": {"origin": [str(Fraction(x)) for x in s.cut[0]],
+                "cut": {"origin": rational_strings(s.cut[0]),
                         "direction": list(s.cut[1])},
             }
             for s in base.singularities

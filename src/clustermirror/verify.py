@@ -9,7 +9,7 @@ around run_suites.
 import random
 from fractions import Fraction
 
-from .lattice import mat_inv, mat_mul, transpose, unimodular_inverse
+from .lattice import mat_inv, mat_mul, rational_strings, transpose, unimodular_inverse
 from .seed import (Seed, exchange_matrix, matrix_mutation_oracle, mutate,
                    is_skew_symmetrizable, serialize_seed)
 from .skeleton import disk_surgery, skeleton_from_seed, intersection_number, dehn_twist
@@ -223,7 +223,7 @@ def suite_coherence(rng, cases=100):
         done += 1
         if res is False:
             failures.append({"s": list(s),
-                             "holonomies": [[ [str(x) for x in row] for row in A]
+                             "holonomies": [[rational_strings(row) for row in A]
                                             for A in ls.holonomies]})
     return _report("coherence", cases, failures)
 

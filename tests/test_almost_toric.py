@@ -184,3 +184,18 @@ def test_render_svg_plain_and_goldens():
     q, _ = common_basepoint(base2)
     doc2 = render_svg(base2, q=q)
     assert doc2 == (FIXTURES / "bl0c2_double.svg").read_text()
+
+
+def test_trade_targets_must_name_existing_faces():
+    facets = tuple((tuple(int(i == j) for j in range(3)), Fraction(0)) for i in range(3))
+    poly = MomentPolytope(3, (), (), facets)
+    chart = (identity(3), (Fraction(0),) * 3)
+    for target in ((0, -1), (0, 3), (1, 1), (0, 1, 2), 0):
+        with pytest.raises(AlmostToricError):
+            apply_trades(poly, (NodalTrade(target, chart),))
+    # -1 must not name the last facet
+    with pytest.raises(AlmostToricError, match="no such facet"):
+        detect_interactions(poly, (NodalTrade((0, 1)), NodalTrade((0, -1))))
+    for target in (-1, 1, (0, 1)):
+        with pytest.raises(AlmostToricError):
+            apply_trades(QUADRANT, (NodalTrade(target, (identity(2), (0, 0))),))

@@ -253,3 +253,43 @@ def test_seed_graph_negative_depth_exit_2(capsys):
     assert run(["seed", "graph", "--seed", str(FIXTURES / "a2_seed.json"),
                 "--depth", "-1"]) == 2
     assert "depth" in capsys.readouterr().err
+
+
+def _fixture(name):
+    return json.loads((FIXTURES / name).read_text())
+
+
+ORTHANT = {"dimension": 3, "facets": [{"normal": n, "rhs": "0"}
+                                      for n in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
+CHART3 = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": ["0", "0", "0"]}
+
+
+@pytest.mark.parametrize("polytope, trades, flags, message", [
+    pytest.param({"dimension": 2, "vertices": [["0", "0"]], "rays": [[0, 1], [1000000]]},
+                 _fixture("std_trade.json"), [], "expected 2 entries", id="ray-length-1"),
+    pytest.param({"dimension": 2, "vertices": [["0"]], "rays": [[0, 1], [1, 0]]},
+                 _fixture("std_trade.json"), ["--skeleton"], "expected 2 entries",
+                 id="vertex-length-1"),
+    pytest.param(_fixture("quadrant_polytope.json"), {"trades": [{"target": []}]}, [],
+                 "vertex index", id="2d-target-empty-list"),
+    pytest.param(_fixture("quadrant_polytope.json"), {"trades": [{"target": [1, 0]}]}, [],
+                 "vertex index", id="2d-target-pair"),
+    pytest.param(_fixture("quadrant_polytope.json"),
+                 {"trades": [{"target": 5, "chart": {"matrix": [[1, 0], [0, 1]],
+                                                     "translation": ["0", "0"]}}]},
+                 [], "vertex index", id="2d-chart-target-out-of-range"),
+    pytest.param(dict(ORTHANT, facets=ORTHANT["facets"][:2] + [{"normal": [0, 1], "rhs": "0"}]),
+                 {"trades": [{"target": [0, 1], "chart": CHART3},
+                             {"target": [1, 2], "chart": CHART3}]},
+                 [], "expected 3 entries", id="3d-normal-length-2"),
+    pytest.param(ORTHANT, {"trades": [{"target": 0, "chart": CHART3},
+                                      {"target": [1, 2], "chart": CHART3}]},
+                 [], "two distinct facet indices", id="3d-int-target"),
+])
+def test_document_shape_faults_exit_2(tmp_path, capsys, polytope, trades, flags, message):
+    poly_path, trades_path = tmp_path / "poly.json", tmp_path / "trades.json"
+    poly_path.write_text(json.dumps(polytope))
+    trades_path.write_text(json.dumps(trades))
+    assert run(["base", "trade", "--polytope", str(poly_path), "--trades", str(trades_path),
+                "--out", str(tmp_path / "x.svg")] + flags) == 2
+    assert message in capsys.readouterr().err
