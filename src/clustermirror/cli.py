@@ -40,6 +40,8 @@ def _load_json(path):
         raise ValueError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise ValueError("%s: invalid JSON at line %d column %d" % (path, e.lineno, e.colno))
+    except RecursionError:
+        raise ValueError("%s: JSON nested too deeply" % path)
 
 
 def _write(path, text):
@@ -121,6 +123,11 @@ def cmd_base_trade(args):
     trades = trades_from_json(_load_json(args.trades))
     base = apply_trades(poly, trades)
     q = common_basepoint(base)[0] if args.skeleton else None
+    if poly.dimension > 2 and args.out is None:
+        # only 2D bases render; without an explicit --out an nD base is
+        # written as its JSON document alone
+        _write(args.json, _dump_json(atf_base_to_json(base)))
+        return
     _write(args.out, render_trade_svg(base, q=q))
     if args.json:
         _write(args.json, _dump_json(atf_base_to_json(base)))

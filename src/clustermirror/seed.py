@@ -59,11 +59,6 @@ def validate_seed(s):
         raise SeedError("psi must be a Z-basis (determinant +-1)")
 
 
-def pairing(s, u, v):
-    """u^T B v for the seed's skew form."""
-    return sum(u[i] * s.B[i][j] * v[j] for i in range(s.n) for j in range(s.n))
-
-
 @dataclass(frozen=True)
 class ExchangeMatrix:
     eps: tuple
@@ -75,12 +70,19 @@ class ExchangeMatrix:
             raise SeedError("exchange matrix must be square")
 
 
+def _column(s, k):
+    """Column k of the exchange matrix: eps_ik = psi_i^T (B psi_k) d_k.
+
+    B psi_k is formed once, so the column costs O(n^2).
+    """
+    pk = s.psi[k]
+    Bpk = [sum(b * x for b, x in zip(row, pk)) for row in s.B]
+    dk = s.d[k]
+    return [sum(x * y for x, y in zip(p, Bpk)) * dk for p in s.psi]
+
+
 def exchange_matrix(s):
-    eps = tuple(
-        tuple(pairing(s, s.psi[i], s.psi[j]) * s.d[j] for j in range(s.n))
-        for i in range(s.n)
-    )
-    return ExchangeMatrix(eps)
+    return ExchangeMatrix(tuple(zip(*(_column(s, j) for j in range(s.n)))))
 
 
 def is_skew_symmetrizable(eps, d):
@@ -99,13 +101,11 @@ def mutate(s, k):
     """Mutation at unfrozen index k (0-based)."""
     if not (0 <= k < s.r):
         raise SeedError("mutation only at unfrozen vectors")
-    eps = exchange_matrix(s).eps
-    new_psi = []
-    for i in range(s.n):
-        if i == k:
-            new_psi.append(vec_neg(s.psi[k]))
-        else:
-            new_psi.append(vec_add(s.psi[i], vec_scale(plus(eps[i][k]), s.psi[k])))
+    col = _column(s, k)
+    pk = s.psi[k]
+    new_psi = [vec_add(p, vec_scale(c, pk)) if c > 0 else p
+               for p, c in zip(s.psi, col)]
+    new_psi[k] = vec_neg(pk)
     return Seed(s.n, s.r, tuple(new_psi), s.B, s.d)
 
 
@@ -188,9 +188,15 @@ def exchange_graph(s, depth, max_nodes=None):
 
     Nodes are seeds up to unfrozen permutation; edges are labeled by the
     mutation index.  Output is deterministic: layers are explored in
-    order and new nodes within a layer are sorted by their serialized
-    form.  If the node budget is exceeded the graph is returned partial
-    with truncated=True.
+    order and new nodes within a layer are sorted by the JSON text of
+    their psi.  That is the order of their whole serialized form
+    (`json.dumps(serialize_seed(child), sort_keys=True)`): mutation
+    leaves rank, unfrozen, B and d alone, so those agree on every node,
+    and with sorted keys the texts first differ inside "psi".  A psi
+    text is one balanced JSON list, so neither of two such texts is a
+    prefix of the other, and they compare as the whole texts do.  If the
+    node budget is exceeded the graph is returned partial with
+    truncated=True.
     """
     if depth < 0:
         raise SeedError("depth must be nonnegative")
@@ -217,8 +223,8 @@ def exchange_graph(s, depth, max_nodes=None):
                 if ckey in index:
                     edges.add((nid, index[ckey], k))
                 else:
-                    discovered.append((json.dumps(serialize_seed(child), sort_keys=True),
-                                       child, nid, k, ckey))
+                    # the psi text sorts as the serialized seed would (see above)
+                    discovered.append((json.dumps(child.psi), child, nid, k, ckey))
         discovered.sort(key=lambda item: item[0])
         frontier = []
         for _, child, src, k, ckey in discovered:

@@ -37,6 +37,13 @@ def test_malformed_json(tmp_path):
     assert run(["seed", "graph", "--seed", str(missing), "--depth", "1"]) == 2
 
 
+def test_deeply_nested_json_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert run(["seed", "mutate", "--seed", str(deep), "--sequence", "1"]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_seed_graph_and_model(tmp_path):
     g = tmp_path / "g.json"
     assert run(["seed", "graph", "--seed", str(FIXTURES / "a2_seed.json"),
@@ -293,3 +300,32 @@ def test_document_shape_faults_exit_2(tmp_path, capsys, polytope, trades, flags,
     assert run(["base", "trade", "--polytope", str(poly_path), "--trades", str(trades_path),
                 "--out", str(tmp_path / "x.svg")] + flags) == 2
     assert message in capsys.readouterr().err
+
+
+ORTHANT_TRADES = {"trades": [{"target": [0, 1], "chart": CHART3},
+                             {"target": [1, 2], "chart": CHART3}]}
+
+
+def _orthant_argv(tmp_path):
+    poly_path, trades_path = tmp_path / "poly.json", tmp_path / "trades.json"
+    poly_path.write_text(json.dumps(ORTHANT))
+    trades_path.write_text(json.dumps(ORTHANT_TRADES))
+    return ["base", "trade", "--polytope", str(poly_path), "--trades", str(trades_path)]
+
+
+def test_nd_base_trade_writes_json(tmp_path, capsys):
+    argv = _orthant_argv(tmp_path)
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dimension"] == 3 and len(doc["singularities"]) == 2
+    out = tmp_path / "base.json"
+    assert run(argv + ["--json", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text()) == doc
+
+
+def test_nd_base_trade_explicit_out_exit_2(tmp_path, capsys):
+    svg = tmp_path / "x.svg"
+    assert run(_orthant_argv(tmp_path) + ["--out", str(svg), "--json", str(tmp_path / "b.json")]) == 2
+    assert "rendering is 2D only" in capsys.readouterr().err
+    assert not svg.exists()

@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from clustermirror import cli
 from clustermirror.lattice import det
 from clustermirror.seed import (Seed, SeedError, exchange_graph,
                                 exchange_matrix, is_skew_symmetrizable,
@@ -11,6 +13,7 @@ from clustermirror.seed import (Seed, SeedError, exchange_graph,
 from clustermirror.verify import random_seed_corpus
 
 A2 = Seed(2, 2, ((1, 0), (0, 1)), ((0, 1), (-1, 0)), (1, 1))
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_exchange_matrix_examples():
@@ -19,6 +22,27 @@ def test_exchange_matrix_examples():
     assert exchange_matrix(s).eps == ((0, 2), (-1, 0))
     z = Seed(2, 2, ((1, 0), (0, 1)), ((0, 0), (0, 0)), (1, 1))
     assert exchange_matrix(z).eps == ((0, 0), (0, 0))
+
+
+def test_exchange_matrix_is_double_sum_randomized():
+    # the definition eps_ij = psi_i^T B psi_j d_j, summed term by term
+    rng = random.Random(5)
+    for _ in range(300):
+        s = random_seed_corpus(rng)
+        n = s.n
+        expected = tuple(
+            tuple(sum(s.psi[i][a] * s.B[a][b] * s.psi[j][b]
+                      for a in range(n) for b in range(n)) * s.d[j]
+                  for j in range(n))
+            for i in range(n))
+        assert exchange_matrix(s).eps == expected
+        k = rng.randrange(s.r)
+        m = mutate(s, k)
+        assert m.psi[k] == tuple(-x for x in s.psi[k])
+        for i in range(n):
+            if i != k:
+                assert m.psi[i] == tuple(s.psi[i][a] + max(expected[i][k], 0) * s.psi[k][a]
+                                         for a in range(n))
 
 
 def test_mutate_examples():
@@ -115,6 +139,21 @@ def test_graph_depth6_frozen():
     g = exchange_graph(A2, 6)
     assert len(g["nodes"]) == 46
     assert not g["truncated"]
+
+
+@pytest.mark.parametrize("seed, depth, budget, golden", [
+    ("a2_seed.json", 6, None, "a2_graph_depth6.json"),
+    # rank 4, one frozen vector, multipliers (1, 2, 1, 3); the budget cuts
+    # a layer short, so the order of new nodes decides which ones are kept
+    ("rank4_frozen_seed.json", 10, "40", "rank4_frozen_graph.json"),
+])
+def test_graph_golden_output(tmp_path, monkeypatch, seed, depth, budget, golden):
+    if budget is not None:
+        monkeypatch.setenv("CLUSTERMIRROR_BUDGET", budget)
+    out = tmp_path / "graph.json"
+    assert cli.main(["seed", "graph", "--seed", str(FIXTURES / seed),
+                     "--depth", str(depth), "--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / golden).read_bytes()
 
 
 def test_graph_deterministic_and_budget():
