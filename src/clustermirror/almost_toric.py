@@ -259,6 +259,17 @@ def _trade_singularity_nd(poly, trade):
     n = poly.dimension
     chart = _checked_chart(trade.chart, n)
     M, p = chart
+    # x -> M (x - p) must send facet target[k] to the model facet y_k = 0;
+    # otherwise the position below and the faces detect_interactions reads
+    # from the target describe different corners
+    for k, fid in enumerate(trade.target):
+        normal, rhs = _facet(poly, fid)
+        if M[k] != tuple(normal):
+            raise AlmostToricError("chart row %d is %s, not the normal %s of target "
+                                   "facet %d" % (k, list(M[k]), list(normal), fid))
+        if sum(a * b for a, b in zip(normal, p)) != rhs:
+            raise AlmostToricError("chart translation does not lie on target facet %d"
+                                   % fid)
     t = Fraction(trade.t)
     Minv = unimodular_inverse(M)
     model_pt = (t, t) + (Fraction(0),) * (n - 2)

@@ -1,7 +1,10 @@
 import json
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustermirror import cli
 
@@ -302,15 +305,26 @@ def test_document_shape_faults_exit_2(tmp_path, capsys, polytope, trades, flags,
     assert message in capsys.readouterr().err
 
 
+# rows 0 and 1 of each chart are the normals of its target facets, in order
+CYCLE3 = {"matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]], "translation": ["0", "0", "0"]}
 ORTHANT_TRADES = {"trades": [{"target": [0, 1], "chart": CHART3},
-                             {"target": [1, 2], "chart": CHART3}]}
+                             {"target": [1, 2], "chart": CYCLE3}]}
 
 
-def _orthant_argv(tmp_path):
+def _orthant_argv(tmp_path, trades=ORTHANT_TRADES):
     poly_path, trades_path = tmp_path / "poly.json", tmp_path / "trades.json"
     poly_path.write_text(json.dumps(ORTHANT))
-    trades_path.write_text(json.dumps(ORTHANT_TRADES))
+    trades_path.write_text(json.dumps(trades))
     return ["base", "trade", "--polytope", str(poly_path), "--trades", str(trades_path)]
+
+
+def test_nd_chart_must_match_target_facets(tmp_path, capsys):
+    wrong_rows = {"trades": [{"target": [1, 2], "chart": CHART3}]}
+    assert run(_orthant_argv(tmp_path, wrong_rows)) == 2
+    assert "not the normal [0, 1, 0] of target facet 1" in capsys.readouterr().err
+    off_face = dict(CYCLE3, translation=["0", "1", "0"])
+    assert run(_orthant_argv(tmp_path, {"trades": [{"target": [1, 2], "chart": off_face}]})) == 2
+    assert "does not lie on target facet 1" in capsys.readouterr().err
 
 
 def test_nd_base_trade_writes_json(tmp_path, capsys):
@@ -318,6 +332,9 @@ def test_nd_base_trade_writes_json(tmp_path, capsys):
     assert run(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["dimension"] == 3 and len(doc["singularities"]) == 2
+    # the second singularity lies off its own face y = z = 0, not off the first's
+    assert doc["singularities"][1]["position"] == ["0", "1", "1"]
+    assert doc["singularities"][1]["eigen"] == [0, 1, 1]
     out = tmp_path / "base.json"
     assert run(argv + ["--json", str(out)]) == 0
     assert capsys.readouterr().out == ""
@@ -329,3 +346,52 @@ def test_nd_base_trade_explicit_out_exit_2(tmp_path, capsys):
     assert run(_orthant_argv(tmp_path) + ["--out", str(svg), "--json", str(tmp_path / "b.json")]) == 2
     assert "rendering is 2D only" in capsys.readouterr().err
     assert not svg.exists()
+
+
+A2 = str(FIXTURES / "a2_seed.json")
+MIXED_CALLS = [
+    (["seed", "graph", "--seed", A2], 2),                   # --depth missing
+    (["seed", "mutate", "--seed", A2, "--sequence", "1,2"], 0),
+    (["verify", "--suite", "epsilon", "--prng", "1", "--cases", "2"], 0),
+    (["--help"], 0),
+    (["seed", "mutate", "--seed", A2, "--sequence", "1,2"], 0),
+]
+
+
+def test_repeated_main_calls_share_no_state(monkeypatch, capsys):
+    def outputs(fresh_parser):
+        got = []
+        for argv, code in MIXED_CALLS:
+            if fresh_parser:
+                monkeypatch.setattr(cli, "_parser", None)
+            assert run(argv) == code
+            captured = capsys.readouterr()
+            got.append((captured.out, captured.err))
+        return got
+
+    cached = outputs(fresh_parser=False)
+    assert cached == outputs(fresh_parser=True)
+    assert "the following arguments are required: --depth" in cached[0][1]
+    assert cached[1] == cached[4] and json.loads(cached[1][0])["psi"] == [[-1, 0], [0, -1]]
+
+
+json_text = st.text(alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                                       st.characters()))
+json_docs = st.recursive(
+    st.one_of(st.integers(-10**40, 10**40), st.booleans(), st.none(), json_text),
+    lambda kids: st.one_of(st.lists(kids), st.lists(kids).map(tuple),
+                           st.dictionaries(json_text, kids)),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(json_docs)
+def test_dump_json_matches_indented_json_dumps(doc):
+    assert cli._dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{"x": [1, 0.5]}, {1: [2]}, OrderedDict(a=1)],
+                         ids=["float-value", "int-key", "dict-subclass"])
+def test_dump_json_refuses_inexact_types(doc):
+    with pytest.raises(TypeError):
+        cli._dump_json(doc)
