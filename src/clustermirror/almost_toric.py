@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (Infeasible, Point, as_int, as_rational, ints, is_unimodular,
-                      malformed, mat_inv, mat_mul, mat_vec, primitive_part,
-                      rational_strings, rationals, solve_rational, transpose,
-                      unimodular_inverse, vec_sub)
+                      malformed, mat_mul, mat_vec, primitive_part, rational_strings,
+                      rationals, solve_rational, transpose, unimodular_inverse, vec_add,
+                      vec_sub)
 from .skeleton import Handle, Skeleton, circle_class
 from .svg import SvgCanvas
 
@@ -87,8 +87,7 @@ class Singularity:
     position: tuple         # 2D: point; nD: point on the singular locus
     locus_basis: tuple      # () in 2D; basis of the codim-2 locus in nD
     eigen: tuple            # primitive direction of the eigenline / plane
-    monodromy: tuple
-    cut: tuple              # (origin, direction) pointing back toward the face
+    monodromy: tuple        # None above dimension 2
 
 
 @dataclass(frozen=True)
@@ -145,47 +144,13 @@ def smoothable_corner_chart(poly, vertex):
     return (M, poly.vertices[vertex])
 
 
-def chart_unapply(chart, y):
-    M, p = chart
-    Minv = mat_inv(M)
-    return tuple(a + b for a, b in zip(mat_vec(Minv, y), p))
-
-
-def polygon_inequalities(poly):
-    """Inward half-planes (normal, rhs) with normal . x >= rhs."""
-    vs = poly.vertices
-    ineqs = []
-
-    def edge(dirvec, point):
-        nrm = (-dirvec[1], dirvec[0])
-        rhs = nrm[0] * Fraction(point[0]) + nrm[1] * Fraction(point[1])
-        ineqs.append((nrm, rhs))
-
-    if poly.rays:
-        edge((-poly.rays[0][0], -poly.rays[0][1]), vs[0])
-    for i in range(len(vs) - 1):
-        edge(vec_sub(vs[i + 1], vs[i]), vs[i])
-    if poly.rays:
-        edge(poly.rays[1], vs[-1])
-    else:
-        edge(vec_sub(vs[0], vs[-1]), vs[-1])
-    return ineqs
-
-
-def point_in_polygon(poly, q, strict=True):
-    for nrm, rhs in polygon_inequalities(poly):
-        val = nrm[0] * Fraction(q[0]) + nrm[1] * Fraction(q[1])
-        if val < rhs or (strict and val == rhs):
-            return False
-    return True
-
-
-def _excised_triangle(chart, t):
+def _excised_triangle(sing):
     """The local-model triangle hull{0, (2t,0), (0,2t)} pulled back to
     polygon coordinates; the singularity sits on its hypotenuse."""
-    t = Fraction(t)
-    return tuple(chart_unapply(chart, y)
-                 for y in ((0, 0), (2 * t, 0), (0, 2 * t)))
+    M, p = sing.chart
+    Minv = unimodular_inverse(M)
+    t2 = 2 * Fraction(sing.trade.t)
+    return tuple(vec_add(mat_vec(Minv, y), p) for y in ((0, 0), (t2, 0), (0, t2)))
 
 
 def _project(pts, axis):
@@ -207,33 +172,6 @@ def convex_polygons_intersect(A, B):
     return True
 
 
-def _checked_chart(chart, n):
-    """An explicit chart (M, p) as tuples, once M is unimodular n x n and
-    p has length n."""
-    M, p = chart
-    if len(M) != n or any(len(row) != n for row in M) or len(p) != n:
-        raise AlmostToricError(
-            "chart needs a %dx%d matrix and a translation of length %d" % (n, n, n))
-    if not is_unimodular(M):
-        raise AlmostToricError("chart matrix must be unimodular")
-    return tuple(tuple(row) for row in M), tuple(p)
-
-
-def _trade_singularity_2d(poly, trade):
-    if trade.chart is None:
-        chart = smoothable_corner_chart(poly, trade.target)
-    else:
-        chart = _checked_chart(trade.chart, 2)
-    M, p = chart
-    t = Fraction(trade.t)
-    pos = chart_unapply(chart, (t, t))
-    Minv = unimodular_inverse(M)
-    eigen = primitive_part(mat_vec(Minv, (1, 1)))
-    mono = mat_mul(mat_mul(transpose(M), FOCUS_FOCUS), transpose(Minv))
-    cut = (pos, tuple(-e for e in eigen))
-    return Singularity(trade, chart, pos, (), eigen, mono, cut)
-
-
 def _facet(poly, i):
     if type(i) is not int or not 0 <= i < len(poly.facets):
         raise AlmostToricError("no such facet")
@@ -253,32 +191,58 @@ def _check_target(poly, target):
             _facet(poly, i)
 
 
-def _trade_singularity_nd(poly, trade):
-    if trade.chart is None:
-        raise AlmostToricError("explicit charts are required above dimension 2")
+def _trade_chart(poly, trade):
+    """The trade's chart x -> M (x - p), which sends its face to the
+    model corner y_0 = y_1 = 0.
+
+    An omitted chart is derived at a smooth 2D corner; above dimension 2
+    it must be given.  An explicit chart must be unimodular n x n, and
+    above dimension 2 rows 0 and 1 of M must be the normals of the target
+    facets, in order, with p on both.  Explicit 2D charts are not checked
+    against the corner: verify.suite_duality trades at the quadrant's
+    corner with off-corner charts (shear . A^{-1}) to test how the
+    recorded monodromy transforms."""
     n = poly.dimension
-    chart = _checked_chart(trade.chart, n)
+    if trade.chart is None:
+        if n > 2:
+            raise AlmostToricError("explicit charts are required above dimension 2")
+        return smoothable_corner_chart(poly, trade.target)
+    M, p = trade.chart
+    if len(M) != n or any(len(row) != n for row in M) or len(p) != n:
+        raise AlmostToricError(
+            "chart needs a %dx%d matrix and a translation of length %d" % (n, n, n))
+    if not is_unimodular(M):
+        raise AlmostToricError("chart matrix must be unimodular")
+    M, p = tuple(tuple(row) for row in M), tuple(p)
+    if n > 2:
+        # a chart off the target facets would put the position at a
+        # different corner from the faces detect_interactions reads
+        for k, fid in enumerate(trade.target):
+            normal, rhs = _facet(poly, fid)
+            if M[k] != tuple(normal):
+                raise AlmostToricError("chart row %d is %s, not the normal %s of target "
+                                       "facet %d" % (k, list(M[k]), list(normal), fid))
+            if sum(a * b for a, b in zip(normal, p)) != rhs:
+                raise AlmostToricError("chart translation does not lie on target facet %d"
+                                       % fid)
+    return M, p
+
+
+def _trade_singularity(poly, trade):
+    """The focus-focus model times the face, pulled back along the chart:
+    the singular locus passes through chart^{-1}(t, t, 0, ..., 0) and is
+    spanned by the last n - 2 columns of M^{-1} (none in 2D), and the
+    eigen direction is M^{-1}(1, 1, 0, ..., 0).  The 2x2 model monodromy
+    acts in the transverse slice, so it is recorded in 2D only."""
+    chart = _trade_chart(poly, trade)
     M, p = chart
-    # x -> M (x - p) must send facet target[k] to the model facet y_k = 0;
-    # otherwise the position below and the faces detect_interactions reads
-    # from the target describe different corners
-    for k, fid in enumerate(trade.target):
-        normal, rhs = _facet(poly, fid)
-        if M[k] != tuple(normal):
-            raise AlmostToricError("chart row %d is %s, not the normal %s of target "
-                                   "facet %d" % (k, list(M[k]), list(normal), fid))
-        if sum(a * b for a, b in zip(normal, p)) != rhs:
-            raise AlmostToricError("chart translation does not lie on target facet %d"
-                                   % fid)
     t = Fraction(trade.t)
     Minv = unimodular_inverse(M)
-    model_pt = (t, t) + (Fraction(0),) * (n - 2)
-    pos = tuple(a + b for a, b in zip(mat_vec(Minv, model_pt), p))
-    basis = transpose(Minv)[2:]
+    pos = vec_add(mat_vec(Minv, (t, t) + (0,) * (len(M) - 2)), p)
     eigen = primitive_part(tuple(row[0] + row[1] for row in Minv))
-    mono = None  # the 2x2 model matrix acts in the transverse slice only
-    cut = (pos, tuple(-e for e in eigen))
-    return Singularity(trade, chart, pos, basis, eigen, mono, cut)
+    mono = (mat_mul(mat_mul(transpose(M), FOCUS_FOCUS), transpose(Minv))
+            if len(M) == 2 else None)
+    return Singularity(trade, chart, pos, transpose(Minv)[2:], eigen, mono)
 
 
 def detect_interactions(poly, trades):
@@ -343,18 +307,17 @@ def apply_trades(poly, trades):
         _check_target(poly, target)
     if len(set(targets)) != len(targets):
         raise AlmostToricError("trade targets must be distinct")
-    if poly.dimension == 2:
-        sings = tuple(_trade_singularity_2d(poly, tr) for tr in trades)
-        for i in range(len(sings)):
-            for j in range(i + 1, len(sings)):
-                ti = _excised_triangle(sings[i].chart, trades[i].t)
-                tj = _excised_triangle(sings[j].chart, trades[j].t)
-                if convex_polygons_intersect(ti, tj):
-                    raise AlmostToricError(
-                        "overlapping trade neighborhoods: trades %d and %d" % (i, j))
-        return AlmostToricBase(poly, sings, ())
-    sings = tuple(_trade_singularity_nd(poly, tr) for tr in trades)
-    return AlmostToricBase(poly, sings, detect_interactions(poly, trades))
+    sings = tuple(_trade_singularity(poly, tr) for tr in trades)
+    if poly.dimension > 2:
+        return AlmostToricBase(poly, sings, detect_interactions(poly, trades))
+    # a lone trade overlaps nothing, so its triangle is not built
+    triangles = [_excised_triangle(sing) for sing in sings] if len(sings) > 1 else ()
+    for i in range(len(sings)):
+        for j in range(i + 1, len(sings)):
+            if convex_polygons_intersect(triangles[i], triangles[j]):
+                raise AlmostToricError(
+                    "overlapping trade neighborhoods: trades %d and %d" % (i, j))
+    return AlmostToricBase(poly, sings, ())
 
 
 def transport_matrix(sing):

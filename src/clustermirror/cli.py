@@ -14,7 +14,8 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .lattice import rational_strings, rationals
-from .seed import deserialize_seed, exchange_graph, mutate, serialize_seed, node_budget
+from .seed import (deserialize_seed, exchange_graph, mutate_sequence, node_budget,
+                   serialize_seed)
 from .toric_model import fan_from_seed, model_to_json, toric_model
 from .syz_base import (CHARACTER, COCHARACTER, base_from_fan, base_to_json,
                        render_svg as render_syz_svg, toggle_convention)
@@ -147,8 +148,7 @@ def _parse_handle_class(raw):
 
 def cmd_seed_mutate(args):
     s = deserialize_seed(_load_json(args.seed))
-    for k in _parse_sequence(args.sequence, s.r):
-        s = mutate(s, k)
+    s = mutate_sequence(s, _parse_sequence(args.sequence, s.r))
     _write(args.out, _dump_json(serialize_seed(s)))
 
 

@@ -45,21 +45,15 @@ def vec_neg(v):
     return tuple(-a for a in v)
 
 
-def is_zero(v):
-    return all(a == 0 for a in v)
-
-
 def is_primitive(v):
     """True iff the gcd of the entries is 1.
 
     The zero vector is rejected: it generates no ray and has no
     meaningful primitivity.
     """
-    if is_zero(v):
+    g = content(v)
+    if g == 0:
         raise ValueError("zero vector has no primitive test")
-    g = 0
-    for a in v:
-        g = gcd(g, a)
     return g == 1
 
 
@@ -247,7 +241,7 @@ class AffineSubspace:
 
 @dataclass(frozen=True)
 class Infeasible:
-    witness: str = ""
+    """An inconsistent system: no solution."""
 
 
 def solve_rational(A, b):
@@ -264,10 +258,8 @@ def solve_rational(A, b):
         raise ValueError("dimension mismatch between matrix and right-hand side")
     aug, pivots = _rref([list(row) + [b[i]] for i, row in enumerate(A)], n)
     r = len(pivots)
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            eq = " + ".join("%s*x%d" % (A[i][j], j) for j in range(n))
-            return Infeasible("inconsistent equation: %s = %s" % (eq, b[i]))
+    if any(aug[i][n] != 0 for i in range(r, m)):
+        return Infeasible()
     free = [c for c in range(n) if c not in pivots]
     point = [Fraction(0)] * n
     for i, c in enumerate(pivots):

@@ -96,11 +96,11 @@ def rank_one(values):
     return local_system([((Fraction(v),),) for v in values])
 
 
-def _mat_pow(A, e, rank):
+def _mat_pow(A, e):
     """A^e by square-and-multiply: O(log |e|) products, one inverse if e < 0."""
+    out = identity(len(A))
     if e < 0:
         A, e = mat_inv(A), -e
-    out = identity(rank)
     while e:
         if e & 1:
             out = mat_mul(out, A)
@@ -115,7 +115,7 @@ def holonomy_around(ls, c):
         raise LocalSystemError("loop class has wrong rank")
     out = identity(ls.rank)
     for A, e in zip(ls.holonomies, c):
-        out = mat_mul(out, _mat_pow(A, e, ls.rank))
+        out = mat_mul(out, _mat_pow(A, e))
     return out
 
 
@@ -146,13 +146,6 @@ def canonical_transversal(s):
     return (t0[0] - lam * a, t0[1] - lam * b)
 
 
-def _mutated_holonomy(ls, s, c, inv_factor, power):
-    """(I - E_s)^(-<c,s>) E_{tau_s(c)} assembled from precomputed parts."""
-    m = intersection_number(c, s)
-    twisted = dehn_twist(c, s)
-    return mat_mul(power(inv_factor, -m), holonomy_around(ls, twisted))
-
-
 def mutate_local_system(ls, s):
     """Mutate across the handle with circle class s.
 
@@ -166,13 +159,11 @@ def mutate_local_system(ls, s):
     w = det(factor)
     if w == 0:
         raise NotMutable(s, w)
-
-    def power(A, e):
-        return _mat_pow(A, e, ls.rank)
-
-    e1, e2 = (1, 0), (0, 1)
+    # E'_c = (I - E_s)^(-<c,s>) E_{tau_s(c)} on the standard loops
     new_hol = tuple(
-        _mutated_holonomy(ls, s, c, factor, power) for c in (e1, e2))
+        mat_mul(_mat_pow(factor, -intersection_number(c, s)),
+                holonomy_around(ls, dehn_twist(c, s)))
+        for c in ((1, 0), (0, 1)))
     t = canonical_transversal(s)
     adapted = (E_s, mat_mul(factor, holonomy_around(ls, t)))
     return LocalSystem(2, ls.rank, new_hol), adapted

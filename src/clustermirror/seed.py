@@ -139,15 +139,10 @@ def matrix_mutation_oracle(em, k):
 def seed_equivalent(s1, s2):
     """Equality up to a permutation of the unfrozen (psi, d) pairs.
 
-    The frozen part must match on the nose; B must be identical.
+    The frozen part must match on the nose; B must be identical.  This is
+    the equivalence exchange_graph identifies nodes by.
     """
-    if (s1.n, s1.r) != (s2.n, s2.r):
-        return False
-    if s1.B != s2.B:
-        return False
-    if s1.psi[s1.r:] != s2.psi[s2.r:] or s1.d[s1.r:] != s2.d[s2.r:]:
-        return False
-    return sorted(zip(s1.psi[:s1.r], s1.d[:s1.r])) == sorted(zip(s2.psi[:s2.r], s2.d[:s2.r]))
+    return _canonical_key(s1) == _canonical_key(s2)
 
 
 def _canonical_key(s):

@@ -6,19 +6,34 @@ for layout.  Output is built by plain string concatenation in input
 order, so a fixed input always yields byte-identical documents.
 """
 
+import math
 from fractions import Fraction
 
 PREC = 3
+GRID_LINES = 100      # most grid lines drawn across one axis, plus one
 
 
 def fmt(x):
     """Fixed-precision decimal for a rational or float coordinate."""
-    if isinstance(x, Fraction):
-        x = x.numerator / x.denominator
-    s = "%.*f" % (PREC, float(x))
+    try:
+        x = float(x)
+    except OverflowError:
+        raise ValueError("a coordinate of the drawing is too large for a float")
+    s = "%.*f" % (PREC, x)
     if s == "-0." + "0" * PREC:
         s = "0." + "0" * PREC
     return s
+
+
+def grid_step(span):
+    """The least step of 1, 2 or 5 times a power of ten with
+    span <= GRID_LINES * step."""
+    decade = 1
+    while True:
+        for m in (1, 2, 5):
+            if span <= GRID_LINES * m * decade:
+                return m * decade
+        decade *= 10
 
 
 class SvgCanvas:
@@ -30,8 +45,14 @@ class SvgCanvas:
             Fraction(xmin), Fraction(ymin), Fraction(xmax), Fraction(ymax))
         self.scale = scale
         self.margin = margin
-        self.width = float(self.xmax - self.xmin) * scale + 2 * margin
-        self.height = float(self.ymax - self.ymin) * scale + 2 * margin
+        try:
+            self.width = float(self.xmax - self.xmin) * scale + 2 * margin
+            self.height = float(self.ymax - self.ymin) * scale + 2 * margin
+        except OverflowError:
+            self.width = math.inf
+        if math.isinf(self.width) or math.isinf(self.height):
+            raise ValueError("viewport is too large to draw: its width and height "
+                             "must fit in a float")
         self.elems = []
 
     def px(self, p):
@@ -66,15 +87,15 @@ class SvgCanvas:
                fmt(x - h), fmt(y + h), fmt(x + h), fmt(y - h), stroke, width))
 
     def grid(self, stroke="#dddddd"):
-        import math
-        x = math.ceil(self.xmin)
-        while x <= self.xmax:
+        """Grid lines at the multiples of a step per axis: 1 for spans of
+        up to GRID_LINES units, else the least of 2, 5, 10, 20, 50, ...
+        that keeps the axis at GRID_LINES + 1 lines or fewer."""
+        step = grid_step(self.xmax - self.xmin)
+        for x in range(math.ceil(self.xmin / step) * step, math.floor(self.xmax) + 1, step):
             self.line((x, self.ymin), (x, self.ymax), stroke=stroke, width=1)
-            x += 1
-        y = math.ceil(self.ymin)
-        while y <= self.ymax:
+        step = grid_step(self.ymax - self.ymin)
+        for y in range(math.ceil(self.ymin / step) * step, math.floor(self.ymax) + 1, step):
             self.line((self.xmin, y), (self.xmax, y), stroke=stroke, width=1)
-            y += 1
 
     def clip_ray(self, origin, direction):
         """Largest segment of origin + t*direction (t >= 0) inside the

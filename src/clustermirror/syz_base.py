@@ -1,6 +1,6 @@
 """Integral-affine SYZ bases for rank-2 fans: singular points with
-unipotent monodromy, branch cuts, the SL(2,Z) conjugation witness, and
-the character/cocharacter convention toggle.
+unipotent monodromy, branch cuts, and the character/cocharacter
+convention toggle.
 
 For a primitive direction psi = (a, b) the monodromy around the
 singularity placed on the ray through psi is
@@ -12,12 +12,13 @@ with J psi = (b, -a), so M(-psi) = M(psi) and conjugating by any
 A in SL(2,Z) transports M along A psi.
 
 Loop orientation is fixed counterclockwise once and for all.  With that
-choice the conjugation witness satisfies
+choice
 
     A . [[1,1],[0,1]]^sigma . A^{-1} = M(psi),  sigma = -1,
 
-for any A in SL(2,Z) with A e1 = psi; the sign sigma is a single global
-constant (CONJUGATION_SIGN below) and tests assert it never varies.
+for any A in SL(2,Z) with A e1 = psi, such as bezout_complete(psi); the
+sign sigma is a single global constant (CONJUGATION_SIGN below) and
+tests assert it never varies.
 """
 
 from dataclasses import dataclass
@@ -63,13 +64,6 @@ def bezout_complete(psi):
         raise ValueError("cannot complete an imprimitive vector to a basis")
     # columns psi and (-v, u): determinant a*u + b*v = 1
     return ((a, -v), (b, u))
-
-
-def conjugation_witness(psi):
-    """(A, sign) with A in SL(2,Z), A e1 = psi, and
-    A T^sign A^{-1} = M(psi) for T = [[1,1],[0,1]]."""
-    A = bezout_complete(psi)
-    return A, CONJUGATION_SIGN
 
 
 def base_from_fan(fan, radii=None):

@@ -6,13 +6,13 @@ pairs, the character chi_i = psi_i^T B pairs to zero against psi_i
 automatically (B is skew), the blowup locus is the subtorus
 {chi_i = -1} in the boundary divisor of ray i, and the local chart is
 presented by the relation x x' = y^chi + 1.  No ring or ideal
-computation happens here; the records exist as fixtures for the
-lattice-level tests and the CLI.
+computation happens here: the loci and presentations are strings that
+`seed model` prints.
 """
 
 from dataclasses import dataclass
 
-from .seed import SeedError, exchange_matrix, mutate
+from .seed import SeedError
 
 
 @dataclass(frozen=True)
@@ -84,23 +84,6 @@ def toric_model(s):
     )
     pres = tuple(local_presentation(s, i) for i in range(s.r))
     return ToricModel(fan, chi, loci, pres)
-
-
-def mutate_model(s, k):
-    """Toric models before and after mutation at k, plus a report of the
-    reversed ray (the blowup locus moves from the 0-section to the
-    infinity-section of the elementary transformation)."""
-    before = toric_model(s)
-    after = toric_model(mutate(s, k))
-    eps = exchange_matrix(s).eps
-    report = {
-        "ray": k,
-        "psi_before": list(s.psi[k]),
-        "psi_after": [-x for x in s.psi[k]],
-        "eps_column": [eps[i][k] for i in range(s.n)],
-        "note": "ray %d reversed; blowup locus moved to the opposite divisor" % k,
-    }
-    return before, after, report
 
 
 def model_to_json(m):

@@ -8,7 +8,7 @@ from clustermirror.almost_toric import (AlmostToricError, InfeasibleBase,
                                         MomentPolytope, NodalTrade,
                                         apply_trades, common_basepoint,
                                         detect_interactions, disk_classes,
-                                        point_in_polygon, render_svg,
+                                        render_svg,
                                         skeleton_from_base,
                                         smoothable_corner_chart,
                                         smoothness_check)
@@ -50,6 +50,18 @@ def test_standard_trade():
     assert smoothness_check(base) == [True]
 
 
+def test_explicit_2d_corner_chart_matches_derived():
+    for poly, vertex, t in ((QUADRANT, 0, Fraction(1)), (BL0C2, 0, Fraction(3, 2)),
+                            (BL0C2, 1, Fraction(2))):
+        chart = smoothable_corner_chart(poly, vertex)
+        derived = apply_trades(poly, (NodalTrade(vertex, None, t),)).singularities[0]
+        given = apply_trades(poly, (NodalTrade(vertex, chart, t),)).singularities[0]
+        assert given.chart == derived.chart == chart
+        assert given.position == derived.position
+        assert given.eigen == derived.eigen
+        assert given.monodromy == derived.monodromy
+
+
 def test_monodromy_trace_det_and_eigen():
     rng = random.Random(61)
     from clustermirror.verify import suite_smoothness
@@ -87,7 +99,9 @@ def test_common_basepoint_bl0c2():
     base = apply_trades(BL0C2, (NodalTrade(0), NodalTrade(1)))
     q, sub = common_basepoint(base)
     assert q == (Fraction(5), Fraction(5)) and sub is None
-    assert point_in_polygon(BL0C2, q)
+    # strictly inside BL0C2: x > 0, y > 0 and x + y > 5
+    x, y = q
+    assert x > 0 and y > 0 and x + y > 5
 
 
 def test_common_basepoint_single_trade():

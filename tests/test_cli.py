@@ -259,6 +259,33 @@ def test_base_syz_viewport_exit_2(tmp_path, capsys):
         assert "viewport" in capsys.readouterr().err
 
 
+def test_base_syz_wide_viewport_golden(tmp_path):
+    # a 500-unit span draws its grid at the multiples of 5: 101 lines
+    out = tmp_path / "wide.svg"
+    assert run(["base", "syz", "--seed", str(FIXTURES / "a2_seed.json"),
+                "--viewport=-10,-3,490,3", "--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / "a2_syz_wide.svg").read_bytes()
+
+
+def test_base_syz_grid_lines_bounded(tmp_path):
+    out = tmp_path / "huge.svg"
+    assert run(["base", "syz", "--seed", str(FIXTURES / "a2_seed.json"),
+                "--viewport=0,0,1e20,1", "--out", str(out)]) == 0
+    # x: the multiples of 10^18 in [0, 10^20]; y: 0 and 1
+    assert out.read_text().count('stroke="#dddddd"') == 101 + 2
+
+
+def test_base_syz_float_overflow_exit_2(tmp_path, capsys):
+    seed = str(FIXTURES / "a2_seed.json")
+    for value in ("0,0,1e400,1", "0,-1e400,1,0", "0,0,1e307,1"):
+        assert run(["base", "syz", "--seed", seed, "--viewport=" + value,
+                    "--out", str(tmp_path / "b.svg")]) == 2
+        assert "viewport is too large to draw" in capsys.readouterr().err
+    assert run(["base", "syz", "--seed", seed, "--radii", "1e400,1",
+                "--out", str(tmp_path / "b.svg")]) == 2
+    assert "too large for a float" in capsys.readouterr().err
+
+
 def test_seed_graph_negative_depth_exit_2(capsys):
     assert run(["seed", "graph", "--seed", str(FIXTURES / "a2_seed.json"),
                 "--depth", "-1"]) == 2

@@ -32,6 +32,8 @@ def test_det_examples():
 def test_solve_examples():
     assert solve_rational([[1, 0], [0, 1]], [1, 1]) == Point((Fraction(1), Fraction(1)))
     assert isinstance(solve_rational([[1, 0], [1, 0]], [0, 1]), Infeasible)
+    # no equation is named: after row swaps an index would name the wrong one
+    assert solve_rational([[1, 0], [1, 0], [0, 1]], [2, 3, 1]) == Infeasible()
     sol = solve_rational([[1, 1]], [2])
     assert isinstance(sol, AffineSubspace)
     assert len(sol.basis) == 1

@@ -6,8 +6,9 @@ import pytest
 
 from clustermirror.lattice import det, mat_inv, mat_mul, mat_vec, transpose
 from clustermirror.seed import Seed
+from clustermirror.svg import grid_step
 from clustermirror.syz_base import (CHARACTER, COCHARACTER, base_from_fan,
-                                    conjugation_witness, CONJUGATION_SIGN,
+                                    bezout_complete, CONJUGATION_SIGN,
                                     monodromy_matrix, render_svg,
                                     toggle_convention)
 from clustermirror.toric_model import StackyFan1D, fan_from_seed
@@ -38,10 +39,9 @@ def test_monodromy_properties_randomized():
 
 
 def test_conjugation_witness():
-    A, sign = conjugation_witness((1, 0))
-    assert A == ((1, 0), (0, 1)) and sign == -1
-    A, sign = conjugation_witness((0, 1))
-    assert A == ((0, -1), (1, 0)) and sign == CONJUGATION_SIGN
+    assert CONJUGATION_SIGN == -1
+    assert bezout_complete((1, 0)) == ((1, 0), (0, 1))
+    assert bezout_complete((0, 1)) == ((0, -1), (1, 0))
 
 
 def _int_inv(M):
@@ -53,11 +53,11 @@ def test_conjugation_identity_randomized():
     shear = {1: ((1, 1), (0, 1)), -1: ((1, -1), (0, 1))}
     for _ in range(300):
         psi = random_primitive(rng)
-        A, sign = conjugation_witness(psi)
-        assert sign == CONJUGATION_SIGN
+        A = bezout_complete(psi)
         assert det(A) == 1
         assert (A[0][0], A[1][0]) == psi
-        assert mat_mul(mat_mul(A, shear[sign]), _int_inv(A)) == monodromy_matrix(psi)
+        assert (mat_mul(mat_mul(A, shear[CONJUGATION_SIGN]), _int_inv(A))
+                == monodromy_matrix(psi))
 
 
 def test_base_from_fan():
@@ -90,6 +90,12 @@ def test_render_svg_structure():
     assert doc.count("stroke-dasharray") == 3
     empty = render_svg(base_from_fan(StackyFan1D(2, ())))
     assert "stroke-dasharray" not in empty and "<line" in empty
+
+
+def test_grid_step():
+    spans = (1, Fraction(1, 3), 100, 101, 200, 201, 500, 501, 1000, 1001)
+    assert [grid_step(x) for x in spans] == [1, 1, 1, 2, 2, 5, 5, 10, 10, 20]
+    assert grid_step(10 ** 20) == 10 ** 18
 
 
 def test_render_svg_golden():
