@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .lattice import (det, ext_gcd, identity, malformed, mat_inv, mat_mul, rationals,
-                      rational_strings)
+from .lattice import (content, det, ext_gcd, identity, malformed, mat_inv, mat_mul,
+                      rationals, rational_strings)
 from .skeleton import circle_class, dehn_twist, intersection_number
 
 SIGN_TWIST = -1
@@ -154,6 +154,8 @@ def mutate_local_system(ls, s):
     """
     if ls.n != 2:
         raise LocalSystemError("mutation implemented on the 2-torus only")
+    if content(s) != 1:
+        raise LocalSystemError("circle class must be primitive")
     E_s = holonomy_around(ls, s)
     factor = _frac_id_minus(E_s)
     w = det(factor)
@@ -221,9 +223,69 @@ def mutate_symbolic(sh, s):
     return SymbolicHolonomy(2, tuple(new_hol)), adapted
 
 
+def _monomial(exps):
+    return "*".join("x%d" % (i + 1) if a == 1 else "x%d**%d" % (i + 1, a)
+                    for i, a in enumerate(exps) if a)
+
+
+def _plus(v):
+    return tuple(max(a, 0) for a in v)
+
+
+def _binomial_terms(lo, hi, e, shift):
+    """x^shift (x^lo - x^hi)^e expanded, as (coefficient, exponents) pairs in
+    descending lex order of the exponents.  The coefficients come from the
+    recurrence C(e, j+1) = C(e, j) (e - j) / (j + 1): one product per term."""
+    terms, coef = [], 1
+    for j in range(e + 1):
+        terms.append((coef, tuple(f + (e - j) * a + j * b for f, a, b in zip(shift, lo, hi))))
+        coef = -coef * (e - j) // (j + 1)
+    return sorted(terms, key=lambda t: t[1], reverse=True)
+
+
+def _sum_text(terms):
+    parts = []
+    for c, exps in terms:
+        mono = _monomial(exps)
+        coef = "" if abs(c) == 1 and mono else str(abs(c))
+        parts.append(("- " if c < 0 else "+ ") + "*".join(filter(None, (coef, mono))))
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _transition_text(c, s):
+    """x^tau_s(c) (1 - x^s)^(-<c,s>) as text, in the form sympy's
+    str(cancel(...)) gives it.
+
+    With e = -<c,s>, g = x^(s-) - x^(s+) and b = tau_s(c) - e s-, the
+    function is x^b g^e: a numerator x^(b+) g^e over x^(b-) when e >= 0,
+    and x^(b+) over x^(b-) g^|e| when e < 0.  Terms run in descending lex
+    order; a denominator with a negative leading coefficient is negated
+    and the sign moved to the front."""
+    e = -intersection_number(c, s)
+    lo, hi = _plus(-a for a in s), _plus(s)
+    b = tuple(t - e * a for t, a in zip(dehn_twist(c, s), lo))
+    bp, bm = _plus(b), _plus(-a for a in b)
+    if e >= 0:
+        num = _sum_text(_binomial_terms(lo, hi, e, bp))
+        if not any(bm):
+            return num
+        den = _monomial(bm)
+        return "(%s)/%s" % (num, "(%s)" % den if all(bm) else den)
+    terms = _binomial_terms(lo, hi, -e, bm)
+    sign = "-" if terms[0][0] < 0 else ""
+    if sign:
+        terms = [(-k, exps) for k, exps in terms]
+    return "%s%s/(%s)" % (sign, _monomial(bp) or "1", _sum_text(terms))
+
+
 def chart_transition(s_seed, k):
     """The birational torus map induced by mutation at handle k of a 2D
-    skew-symmetric seed, as a pair of rational functions in x1, x2."""
+    skew-symmetric seed with circle class s: the standard chart
+    x^c -> x^tau_s(c) (1 - x^s)^(-<c,s>) for c = (1,0), (0,1).
+
+    Returns the two functions as text in x1, x2, computed in closed form
+    and written with the bytes of sympy's str(cancel(...))."""
     from .skeleton import skeleton_from_seed
     if s_seed.n != 2:
         raise LocalSystemError("chart transitions are rank-2 only")
@@ -233,8 +295,7 @@ def chart_transition(s_seed, k):
     if not (0 <= k < len(sk.handles)):
         raise LocalSystemError("no such handle")
     s = circle_class(sk.handles[k].psi)
-    out, _ = mutate_symbolic(symbolic_standard(2), s)
-    return out.holonomies
+    return tuple(_transition_text(c, s) for c in ((1, 0), (0, 1)))
 
 
 def serialize_local_system(ls):

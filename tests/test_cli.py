@@ -138,6 +138,20 @@ def test_locsys_commands(tmp_path):
     assert "x1'" in t.read_text()
 
 
+@pytest.mark.parametrize("holonomies, handle_class", [
+    ([[["1"]], [["3"]]], "2,0"),   # eigenvalue 1 around (2, 0)
+    ([[["1"]], [["3"]]], "0,0"),
+    ([[["2"]], [["3"]]], "2,0"),
+])
+def test_locsys_non_primitive_handle_class_exit_2(tmp_path, capsys, holonomies,
+                                                  handle_class):
+    ls = tmp_path / "ls.json"
+    ls.write_text(json.dumps({"rank": 1, "loops": 2, "holonomies": holonomies}))
+    assert run(["locsys", "mutate", "--locsys", str(ls),
+                "--handle-class", handle_class]) == 2
+    assert "circle class must be primitive" in capsys.readouterr().err
+
+
 def test_locsys_zero_denominator_exit_2(tmp_path, capsys):
     ls = tmp_path / "ls.json"
     ls.write_text(json.dumps(

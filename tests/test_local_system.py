@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from clustermirror.lattice import det, identity, mat_inv, mat_mul
 from clustermirror.local_system import (LocalSystemError, NotMutable,
-                                        SIGN_TWIST, _mat_pow,
+                                        SIGN_TWIST, _mat_pow, _transition_text,
                                         canonical_transversal,
                                         chart_transition, holonomy_around,
                                         is_mutable, local_system,
@@ -18,6 +20,7 @@ from clustermirror.seed import Seed
 from clustermirror.verify import (coherence_law_holds, _random_commuting_pair,
                                   random_primitive)
 
+FIXTURES = Path(__file__).parent / "fixtures"
 A2 = Seed(2, 2, ((1, 0), (0, 1)), ((0, 1), (-1, 0)), (1, 1))
 x1, x2 = sp.symbols("x1 x2")
 
@@ -162,12 +165,32 @@ def test_symbolic_adapted_fixture():
 
 def test_chart_transition_a2():
     fns = chart_transition(A2, 0)
-    assert sp.cancel(fns[0] - (-x1 * x2 / (x2 - 1))) == 0
-    assert fns[1] == x2
+    assert fns == ("-x1*x2/(x2 - 1)", "x2")
+    assert sp.cancel(sp.sympify(fns[0]) - (-x1 * x2 / (x2 - 1))) == 0
+    assert sp.sympify(fns[1]) == x2
     fns2 = chart_transition(A2, 1)
     # handle 2 has circle class (-1, 0); frozen output
-    assert sp.cancel(fns2[0] - x1) == 0
-    assert sp.cancel(fns2[1] - x2 / (x1 - 1)) == 0
+    assert fns2 == ("x1", "x2/(x1 - 1)")
+    assert sp.cancel(sp.sympify(fns2[0]) - x1) == 0
+    assert sp.cancel(sp.sympify(fns2[1]) - x2 / (x1 - 1)) == 0
+
+
+def test_chart_transition_frozen_table():
+    # str(cancel(...)) of the symbolic mutation, frozen for every primitive
+    # s with |s_i| <= 6
+    rows = json.loads((FIXTURES / "chart_transitions.json").read_text())
+    assert len(rows) == 96
+    for row in rows:
+        s = tuple(row["s"])
+        assert [_transition_text(c, s) for c in ((1, 0), (0, 1))] == row["functions"], s
+
+
+@pytest.mark.parametrize("s", [(1, 0), (0, -1), (2, 1), (-1, 3), (3, -5),
+                               (-4, -7), (5, 2), (1, -9)])
+def test_chart_transition_matches_symbolic_mutation(s):
+    once, _ = mutate_symbolic(symbolic_standard(2), s)
+    for c, want in zip(((1, 0), (0, 1)), once.holonomies):
+        assert sp.cancel(sp.sympify(_transition_text(c, s)) - want) == 0
 
 
 def test_chart_transition_errors():
