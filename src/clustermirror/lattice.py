@@ -4,12 +4,17 @@ All core computation is over Z (python ints) or Q (fractions.Fraction);
 nothing here touches floating point.  Vectors are tuples of numbers,
 matrices are tuples of row tuples.  Values are immutable, functions are
 pure, so everything is safe to share.
+
+mat_inv and solve_rational share one fraction-free Gauss-Jordan kernel
+over Z (_rref): rational input is scaled to integers row by row, the
+elimination divides only exactly, and each result entry becomes one
+Fraction at the end.  det keeps its own integer Bareiss loop.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def identity(n):
@@ -184,36 +189,50 @@ def is_unimodular(M):
 
 
 def _rref(rows, ncols):
-    """Gauss-Jordan elimination over Q on the first ncols columns.
+    """Fraction-free Gauss-Jordan elimination on the first ncols columns.
 
-    Returns the reduced rows (lists of Fractions) and the pivot columns.
+    Each row is first scaled to integers by the lcm of its denominators.
+    Each pivot step then sets every other row to (pv * row - f * pivot
+    row) // prev, where pv is the new pivot, f the row's entry in the
+    pivot column and prev the previous pivot.  Sylvester's identity makes
+    every division exact, so all arithmetic stays in Z and each entry is
+    a minor of the scaled input.  At the end every pivot row carries the
+    same pivot d in its pivot column, and the reduced row echelon form
+    over Q is the returned rows divided by d.
+
+    Returns the integer rows (lists), the pivot columns and d.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = []
+    for row in rows:
+        q = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (q // x.denominator) for x in row])
     pivots = []
+    prev = 1
     for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pr = a[r]
+        pv = pr[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(row, pr)]
+        prev = pv
         pivots.append(c)
-    return a, pivots
+    return a, pivots, prev
 
 
 def mat_inv(M):
     """Exact inverse over Q.  Raises on singular input."""
     n = len(M)
-    a, pivots = _rref([list(row) + [int(i == j) for j in range(n)]
-                       for i, row in enumerate(M)], n)
+    a, pivots, d = _rref([list(row) + [int(i == j) for j in range(n)]
+                          for i, row in enumerate(M)], n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in a)
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in a)
 
 
 def unimodular_inverse(M):
@@ -249,21 +268,21 @@ def solve_rational(A, b):
 
     Returns a Point for a unique solution, an AffineSubspace (canonical
     point with all free variables zero, plus a basis of the homogeneous
-    solutions) when underdetermined, or Infeasible.  Gaussian
-    elimination with Fractions throughout.
+    solutions) when underdetermined, or Infeasible.  One fraction-free
+    elimination over Z (_rref), then one Fraction per output entry.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     if m != len(b):
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    aug, pivots = _rref([list(row) + [b[i]] for i, row in enumerate(A)], n)
+    aug, pivots, d = _rref([list(row) + [b[i]] for i, row in enumerate(A)], n)
     r = len(pivots)
     if any(aug[i][n] != 0 for i in range(r, m)):
         return Infeasible()
     free = [c for c in range(n) if c not in pivots]
     point = [Fraction(0)] * n
     for i, c in enumerate(pivots):
-        point[c] = aug[i][n]
+        point[c] = Fraction(aug[i][n], d)
     if not free:
         return Point(tuple(point))
     basis = []
@@ -271,7 +290,7 @@ def solve_rational(A, b):
         dirv = [Fraction(0)] * n
         dirv[fc] = Fraction(1)
         for i, c in enumerate(pivots):
-            dirv[c] = -aug[i][fc]
+            dirv[c] = Fraction(-aug[i][fc], d)
         basis.append(tuple(dirv))
     return AffineSubspace(tuple(point), tuple(basis))
 

@@ -36,10 +36,10 @@ systems.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
-from .lattice import (content, det, ext_gcd, identity, malformed, mat_inv, mat_mul,
-                      rationals, rational_strings)
+from .lattice import (as_int, content, det, ext_gcd, identity, malformed, mat_inv,
+                      mat_mul, rationals, rational_strings)
 from .skeleton import circle_class, dehn_twist, intersection_number
 
 SIGN_TWIST = -1
@@ -61,6 +61,13 @@ def _to_frac_mat(M):
     return tuple(tuple(Fraction(x) for x in row) for row in M)
 
 
+def _over_z(A):
+    """(N, q) with N an integer matrix and q > 0 the lcm of A's
+    denominators, so that A == N / q."""
+    q = lcm(*(x.denominator for row in A for x in row))
+    return tuple(tuple(x.numerator * (q // x.denominator) for x in row) for row in A), q
+
+
 def _commute(A, B):
     return mat_mul(A, B) == mat_mul(B, A)
 
@@ -77,11 +84,15 @@ class LocalSystem:
         for A in self.holonomies:
             if len(A) != self.rank or any(len(row) != self.rank for row in A):
                 raise LocalSystemError("holonomy has wrong shape")
-            if det(A) == 0:
+        # A = N / q is invertible iff N is, and N / q, M / p commute iff
+        # N, M do: both checks run over Z
+        scaled = [_over_z(A)[0] for A in self.holonomies]
+        for N in scaled:
+            if det(N) == 0:
                 raise LocalSystemError("holonomies must be invertible")
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                if not _commute(self.holonomies[i], self.holonomies[j]):
+                if not _commute(scaled[i], scaled[j]):
                     raise LocalSystemError("holonomies must commute")
 
 
@@ -96,27 +107,38 @@ def rank_one(values):
     return local_system([((Fraction(v),),) for v in values])
 
 
-def _mat_pow(A, e):
-    """A^e by square-and-multiply: O(log |e|) products, one inverse if e < 0."""
-    out = identity(len(A))
-    if e < 0:
-        A, e = mat_inv(A), -e
-    while e:
-        if e & 1:
-            out = mat_mul(out, A)
-        e >>= 1
-        if e:
-            A = mat_mul(A, A)
-    return out
+def _power_product(pairs, n):
+    """The product A_1^e_1 A_2^e_2 ... of the (A, e) pairs, n x n, over Z.
+
+    Each A with e != 0 is inverted once if e < 0 and scaled once to N / q;
+    N^|e| comes from square-and-multiply over ints and q^|e| joins one
+    common denominator, so every output entry is one Fraction at the end.
+    Returns the plain int identity when every e is 0."""
+    num, den = None, 1
+    for A, e in pairs:
+        if e == 0:
+            continue
+        if e < 0:
+            A, e = mat_inv(A), -e
+        N, q = _over_z(A)
+        den *= q ** e
+        while True:
+            if e & 1:
+                num = N if num is None else mat_mul(num, N)
+            e >>= 1
+            if not e:
+                break
+            N = mat_mul(N, N)
+    if num is None:
+        return identity(n)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in num)
 
 
 def holonomy_around(ls, c):
+    """E_c = E_1^c_1 ... E_n^c_n: one power product over Z."""
     if len(c) != ls.n:
         raise LocalSystemError("loop class has wrong rank")
-    out = identity(ls.rank)
-    for A, e in zip(ls.holonomies, c):
-        out = mat_mul(out, _mat_pow(A, e))
-    return out
+    return _power_product(zip(ls.holonomies, c), ls.rank)
 
 
 def _frac_id_minus(A):
@@ -150,7 +172,9 @@ def mutate_local_system(ls, s):
     """Mutate across the handle with circle class s.
 
     Returns (new LocalSystem in the standard basis of the mutated
-    torus, adapted pair (E_s, (I - E_s) E_t)).
+    torus, adapted pair (E_s, (I - E_s) E_t)).  Each new holonomy and
+    (I - E_s) E_t is one power product over Z (_power_product) whose
+    first factor is I - E_s, so only E_s goes through holonomy_around.
     """
     if ls.n != 2:
         raise LocalSystemError("mutation implemented on the 2-torus only")
@@ -163,11 +187,12 @@ def mutate_local_system(ls, s):
         raise NotMutable(s, w)
     # E'_c = (I - E_s)^(-<c,s>) E_{tau_s(c)} on the standard loops
     new_hol = tuple(
-        mat_mul(_mat_pow(factor, -intersection_number(c, s)),
-                holonomy_around(ls, dehn_twist(c, s)))
+        _power_product(((factor, -intersection_number(c, s)),)
+                       + tuple(zip(ls.holonomies, dehn_twist(c, s))), ls.rank)
         for c in ((1, 0), (0, 1)))
     t = canonical_transversal(s)
-    adapted = (E_s, mat_mul(factor, holonomy_around(ls, t)))
+    adapted = (E_s, _power_product(((factor, 1),) + tuple(zip(ls.holonomies, t)),
+                                   ls.rank))
     return LocalSystem(2, ls.rank, new_hol), adapted
 
 
@@ -307,5 +332,12 @@ def serialize_local_system(ls):
 
 
 def deserialize_local_system(doc):
+    """The LocalSystem of a document.  Its optional "rank" and "loops"
+    must equal the shape of its holonomies."""
     with malformed(LocalSystemError, "local system"):
-        return local_system([[rationals(row) for row in A] for A in doc["holonomies"]])
+        ls = local_system([[rationals(row) for row in A] for A in doc["holonomies"]])
+        for key, value in (("rank", ls.rank), ("loops", ls.n)):
+            if key in doc and as_int(doc[key]) != value:
+                raise ValueError("%s is %d but the holonomies give %d"
+                                 % (key, doc[key], value))
+        return ls

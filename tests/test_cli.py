@@ -98,6 +98,14 @@ def test_base_trade_with_skeleton(tmp_path):
     assert out.read_bytes() == (FIXTURES / "bl0c2_double.svg").read_bytes()
 
 
+def test_base_trade_skeleton_json_golden(tmp_path):
+    js = tmp_path / "bl.json"
+    assert run(["base", "trade", "--polytope", str(FIXTURES / "bl0c2_polytope.json"),
+                "--trades", str(FIXTURES / "bl0c2_trades.json"), "--skeleton",
+                "--out", str(tmp_path / "bl.svg"), "--json", str(js)]) == 0
+    assert js.read_bytes() == (FIXTURES / "bl0c2_trade_skeleton.json").read_bytes()
+
+
 def test_base_trade_infeasible_exit_3(tmp_path):
     rc = run(["base", "trade", "--polytope", str(FIXTURES / "parallel_polytope.json"),
               "--trades", str(FIXTURES / "parallel_trades.json"),
@@ -150,6 +158,28 @@ def test_locsys_non_primitive_handle_class_exit_2(tmp_path, capsys, holonomies,
     assert run(["locsys", "mutate", "--locsys", str(ls),
                 "--handle-class", handle_class]) == 2
     assert "circle class must be primitive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, handle_class", [("locsys_s18", "18,-5"),
+                                                ("locsys_s24", "-7,24")])
+def test_locsys_mutate_golden(tmp_path, name, handle_class):
+    out = tmp_path / "out.json"
+    assert run(["locsys", "mutate", "--locsys", str(FIXTURES / (name + ".json")),
+                "--handle-class=" + handle_class, "--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / (name + "_mutated.json")).read_bytes()
+
+
+@pytest.mark.parametrize("extra", [{"rank": 5}, {"loops": 3}, {"rank": 2, "loops": 1}])
+def test_locsys_rank_and_loops_must_match_holonomies(tmp_path, capsys, extra):
+    ls = tmp_path / "ls.json"
+    holonomies = [[["2"]], [["3"]]]
+    ls.write_text(json.dumps({"holonomies": holonomies}))
+    argv = ["locsys", "mutate", "--locsys", str(ls), "--handle-class", "1,0"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    ls.write_text(json.dumps(dict(extra, holonomies=holonomies)))
+    assert run(argv) == 2
+    assert "malformed local system document" in capsys.readouterr().err
 
 
 def test_locsys_zero_denominator_exit_2(tmp_path, capsys):

@@ -137,3 +137,104 @@ def test_unimodular_inverse(M):
     doubled = (tuple(2 * x for x in M[0]),) + M[1:]     # determinant +-2
     with pytest.raises(ValueError):
         unimodular_inverse(doubled)
+
+
+def _oracle_rref(rows, ncols):
+    """Plain Gauss-Jordan over Q with a Fraction division per entry."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _oracle_inv(M):
+    n = len(M)
+    a, pivots = _oracle_rref([list(row) + [int(i == j) for j in range(n)]
+                              for i, row in enumerate(M)], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def _oracle_solve(A, b):
+    n = len(A[0])
+    aug, pivots = _oracle_rref([list(row) + [rhs] for row, rhs in zip(A, b)], n)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return Infeasible()
+    point = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        point[c] = aug[i][n]
+    free = [c for c in range(n) if c not in pivots]
+    if not free:
+        return Point(tuple(point))
+    basis = []
+    for fc in free:
+        dirv = [Fraction(0)] * n
+        dirv[fc] = Fraction(1)
+        for i, c in enumerate(pivots):
+            dirv[c] = -aug[i][fc]
+        basis.append(tuple(dirv))
+    return AffineSubspace(tuple(point), tuple(basis))
+
+
+@st.composite
+def rational_systems(draw):
+    """(A, b) with A m x n, 1 <= m, n <= 5.  Rows are independent draws or
+    combinations of earlier rows (so singular, underdetermined and
+    rank-deficient systems are common); b is either A x0, consistent, or
+    drawn freely, often inconsistent when rows depend."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.one_of(st.integers(-9, 9), fractions)
+    A = []
+    for _ in range(m):
+        if A and draw(st.booleans()):
+            coefs = draw(st.lists(fractions, min_size=len(A), max_size=len(A)))
+            A.append(tuple(sum((k * row[j] for k, row in zip(coefs, A)), Fraction(0))
+                           for j in range(n)))
+        else:
+            A.append(tuple(draw(st.lists(entries, min_size=n, max_size=n))))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(fractions, min_size=n, max_size=n))
+        b = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in A]
+    else:
+        b = draw(st.lists(entries, min_size=m, max_size=m))
+    return tuple(A), b
+
+
+def _shape_and_types(x):
+    if isinstance(x, (tuple, list)):
+        return [_shape_and_types(y) for y in x]
+    if isinstance(x, (Point, AffineSubspace, Infeasible)):
+        return (type(x), [_shape_and_types(getattr(x, f)) for f in x.__dataclass_fields__])
+    return type(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_systems())
+def test_kernels_match_fraction_gauss_jordan(system):
+    A, b = system
+    got, want = solve_rational(A, b), _oracle_solve(A, b)
+    assert got == want
+    assert _shape_and_types(got) == _shape_and_types(want)
+    if len(A) == len(A[0]):
+        try:
+            want = _oracle_inv(A)
+        except ValueError:
+            with pytest.raises(ValueError):
+                mat_inv(A)
+            return
+        got = mat_inv(A)
+        assert got == want
+        assert _shape_and_types(got) == _shape_and_types(want)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from clustermirror.lattice import det, identity, mat_inv, mat_mul
 from clustermirror.local_system import (LocalSystemError, NotMutable,
-                                        SIGN_TWIST, _mat_pow, _transition_text,
+                                        SIGN_TWIST, _transition_text,
                                         canonical_transversal,
                                         chart_transition, holonomy_around,
                                         is_mutable, local_system,
@@ -44,18 +44,61 @@ def _square_matrices(rank):
     return st.tuples(*[row] * rank)
 
 
+def _repeated_product(pairs, rank):
+    """The product of the (A, e) pairs by |e| Fraction multiplications each."""
+    out = identity(rank)
+    for A, e in pairs:
+        base = mat_inv(A) if e < 0 else A
+        for _ in range(abs(e)):
+            out = mat_mul(out, base)
+    return out
+
+
+def _types(M):
+    return [type(x) for row in M for x in row]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([1, 2]).flatmap(_square_matrices), st.integers(-40, 40))
-def test_mat_pow_matches_repeated_multiplication(A, e):
+def test_one_loop_holonomy_matches_repeated_multiplication(A, e):
     assume(det(A) != 0)
-    rank = len(A)
-    base = mat_inv(A) if e < 0 else A
-    expect = identity(rank)
-    for _ in range(abs(e)):
-        expect = mat_mul(expect, base)
-    got = _mat_pow(A, e)
+    expect = _repeated_product(((A, e),), len(A))
+    got = holonomy_around(local_system([A]), (e,))
     assert got == expect
-    assert [type(x) for row in got for x in row] == [type(x) for row in expect for x in row]
+    # the plain int identity at e = 0, Fractions otherwise
+    assert _types(got) == _types(expect)
+
+
+@st.composite
+def commuting_holonomies(draw):
+    """2 or 3 commuting invertible rank-2 matrices: P D P^-1 with diagonal
+    D, or upper triangular Jordan-type blocks ((a, b), (0, a))."""
+    loops = draw(st.integers(2, 3))
+    nonzero = small_fractions.filter(bool)
+    if draw(st.booleans()):
+        P = draw(_square_matrices(2))
+        assume(det(P) != 0)
+        Pinv = mat_inv(P)
+        return [mat_mul(mat_mul(P, ((draw(nonzero), 0), (0, draw(nonzero)))), Pinv)
+                for _ in range(loops)]
+    out = []
+    for _ in range(loops):
+        a = draw(nonzero)
+        out.append(((a, draw(small_fractions)), (Fraction(0), a)))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(commuting_holonomies(), st.lists(st.integers(-9, 9).filter(bool),
+                                        min_size=3, max_size=3))
+def test_mixed_sign_holonomy_matches_repeated_multiplication(hol, exps):
+    c = tuple(exps[:len(hol)])
+    assume(min(c) < 0 < max(c))
+    ls = local_system(hol)
+    expect = _repeated_product(zip(ls.holonomies, c), 2)
+    got = holonomy_around(ls, c)
+    assert got == expect
+    assert _types(got) == _types(expect)
 
 
 def test_is_mutable():
