@@ -26,8 +26,8 @@ from fractions import Fraction
 from .lattice import (Infeasible, Point, as_int, as_rational, ints, is_unimodular,
                       malformed, mat_mul, mat_vec, primitive_part, rational_strings,
                       rationals, solve_rational, transpose, unimodular_inverse, vec_add,
-                      vec_sub)
-from .skeleton import Handle, Skeleton, circle_class
+                      vec_neg, vec_sub)
+from .skeleton import Handle, Skeleton, circle_class, intersection_number
 from .svg import SvgCanvas
 
 FOCUS_FOCUS = ((2, 1), (-1, 0))
@@ -97,32 +97,23 @@ class AlmostToricBase:
     interactions: tuple
 
 
-def _rational_direction(v):
-    """Primitive integer vector parallel to a rational vector."""
-    from math import lcm
-    denom = 1
-    for x in v:
-        denom = lcm(denom, Fraction(x).denominator)
-    return primitive_part(tuple(int(Fraction(x) * denom) for x in v))
-
-
 def _corner_edges(poly, i):
     """The two primitive boundary directions leaving vertex i."""
     vs = poly.vertices
     if i < 0 or i >= len(vs):
         raise AlmostToricError("no such vertex")
     if i > 0:
-        back = _rational_direction(vec_sub(vs[i - 1], vs[i]))
+        back = primitive_part(vec_sub(vs[i - 1], vs[i]))
     elif poly.rays:
         back = poly.rays[0]
     else:
-        back = _rational_direction(vec_sub(vs[-1], vs[i]))
+        back = primitive_part(vec_sub(vs[-1], vs[i]))
     if i < len(vs) - 1:
-        fwd = _rational_direction(vec_sub(vs[i + 1], vs[i]))
+        fwd = primitive_part(vec_sub(vs[i + 1], vs[i]))
     elif poly.rays:
         fwd = poly.rays[1]
     else:
-        fwd = _rational_direction(vec_sub(vs[0], vs[i]))
+        fwd = primitive_part(vec_sub(vs[0], vs[i]))
     return back, fwd
 
 
@@ -132,7 +123,7 @@ def smoothable_corner_chart(poly, vertex):
     if poly.dimension != 2:
         raise AlmostToricError("corner charts are 2D only")
     a, b = _corner_edges(poly, vertex)
-    d = a[0] * b[1] - a[1] * b[0]
+    d = intersection_number(a, b)
     if d not in (1, -1):
         raise AlmostToricError("corner not integral-affine standard")
     ab = ((a[0], b[0]), (a[1], b[1]))
@@ -261,20 +252,16 @@ def detect_interactions(poly, trades):
             if isinstance(sol, Infeasible):
                 continue
             ineqs = [f for i, f in enumerate(poly.facets) if i not in faces]
-            if isinstance(sol, Point):
-                ok = all(sum(Fraction(n[j]) * sol.coords[j] for j in range(len(n))) >= r
-                         for n, r in ineqs)
-            else:
-                ok = _feasible_on_subspace(sol, ineqs)
-            if ok:
+            point, basis = ((sol.coords, ()) if isinstance(sol, Point)
+                            else (sol.point, sol.basis))
+            if _feasible_on_subspace(point, basis, ineqs):
                 out.append((ai, bi))
     return tuple(out)
 
 
-def _feasible_on_subspace(sub, ineqs):
-    """Fourier-Motzkin feasibility of normal.x >= rhs restricted to an
-    affine subspace (exact rationals)."""
-    point, basis = sub.point, sub.basis
+def _feasible_on_subspace(point, basis, ineqs):
+    """Fourier-Motzkin feasibility of normal.x >= rhs restricted to the
+    affine subspace point + span(basis) (exact rationals)."""
     k = len(basis)
     system = []
     for n, r in ineqs:
@@ -342,10 +329,9 @@ def smoothness_check(base):
         raise AlmostToricError("smoothness check is 2D only")
     results = []
     for sing in base.singularities:
-        M, _p = sing.chart
         a, b = _corner_edges(base.polytope, sing.trade.target)
-        d = a[0] * b[1] - a[1] * b[0]
-        lo, hi = (a, b) if d == 1 else (b, a)   # lo -> e1, hi -> e2
+        # lo -> e1, hi -> e2
+        lo, hi = (a, b) if intersection_number(a, b) == 1 else (b, a)
         results.append(mat_vec(transport_matrix(sing), hi) == lo)
     return results
 
@@ -354,7 +340,7 @@ def _eigen_equation(sing):
     """normal . x = rhs for the eigenline (2D) or eigenhyperplane (nD)
     through the singular locus."""
     if len(sing.eigen) == 2 and not sing.locus_basis:
-        nrm = (-sing.eigen[1], sing.eigen[0])
+        nrm = circle_class(sing.eigen)
     else:
         M, _p = sing.chart
         n = len(M)
@@ -415,38 +401,29 @@ def _project_onto_affine(x, sub):
 def skeleton_from_base(base, q):
     """Skeleton of the traded base seen from the basepoint q.
 
-    One handle per trade: the character is the primitive direction from
-    q toward the singularity (the base projection of the disk), the
-    disk cocharacter is a primitive normal of the eigenlocus through q.
-    In 2D the circle class of the disk boundary is the 90-degree
-    rotation of the character, i.e. the chart image of (1,-1) up to
-    sign."""
-    n = base.polytope.dimension
+    One handle per trade: the character is the eigen direction pointing
+    from q toward the singular locus (the base projection of the disk),
+    signed by chart row 0, which pairs to 1 with the eigen direction and
+    to 0 with the flat directions of the locus; the disk cocharacter is
+    a primitive normal of the eigenlocus through q.  In 2D the circle
+    class of the disk boundary is the 90-degree rotation of the
+    character, i.e. the chart image of (1,-1) up to sign."""
     handles = []
     for idx, sing in enumerate(base.singularities):
         nrm, rhs = _eigen_equation(sing)
         val = sum(Fraction(a) * Fraction(x) for a, x in zip(nrm, q))
         if val != rhs:
             raise AlmostToricError("basepoint misses the eigenlocus of trade %d" % idx)
-        diff = vec_sub(sing.position, q)
-        if sing.locus_basis:
-            # project out the flat directions of the singular family:
-            # the disk runs along the eigen direction only
-            M, _p = sing.chart
-            comp = sum(Fraction(M[0][j]) * Fraction(diff[j]) for j in range(n))
-            if comp == 0:
-                raise AlmostToricError("basepoint sits on the singular locus of trade %d" % idx)
-            sign = 1 if comp > 0 else -1
-            psi = tuple(sign * e for e in sing.eigen)
-        else:
-            if all(Fraction(x) == 0 for x in diff):
-                raise AlmostToricError("basepoint coincides with singularity %d" % idx)
-            psi = _rational_direction(diff)
+        M, _p = sing.chart
+        comp = sum(a * x for a, x in zip(M[0], vec_sub(sing.position, q)))
+        if comp == 0:
+            raise AlmostToricError("basepoint sits on the singular locus of trade %d" % idx)
+        psi = sing.eigen if comp > 0 else vec_neg(sing.eigen)
         chi = primitive_part(nrm)
         if sum(a * b for a, b in zip(psi, chi)) != 0:
             raise AssertionError("eigen normal fails to annihilate the disk direction")
         handles.append(Handle(psi, chi, 1))
-    return Skeleton(n, tuple(handles))
+    return Skeleton(base.polytope.dimension, tuple(handles))
 
 
 def disk_classes(base, q):
@@ -455,22 +432,22 @@ def disk_classes(base, q):
     return [circle_class(h.psi) for h in sk.handles]
 
 
-def base_viewport(base, pad=1):
+def base_viewport(base):
+    """The bounding box of the vertices and singularities, one unit wider
+    on every side."""
     pts = [tuple(map(Fraction, v)) for v in base.polytope.vertices]
     pts += [tuple(map(Fraction, s.position)) for s in base.singularities]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+    return (min(xs) - 1, min(ys) - 1, max(xs) + 1, max(ys) + 1)
 
 
-def render_svg(base, q=None, viewport=None):
+def render_svg(base, q=None):
     """Boundary, singularities, cuts; if q is given, the skeleton
     projection (blue disk segments from q) is overlaid."""
     if base.polytope.dimension != 2:
         raise AlmostToricError("rendering is 2D only")
-    if viewport is None:
-        viewport = base_viewport(base)
-    cv = SvgCanvas(*viewport)
+    cv = SvgCanvas(*base_viewport(base))
     cv.grid()
     poly = base.polytope
     vs = list(poly.vertices)
@@ -482,9 +459,9 @@ def render_svg(base, q=None, viewport=None):
         if end:
             cv.line(end[0], end[1], stroke="black", width=2)
         if len(vs) > 1:
-            cv.polyline(vs, stroke="black", width=2)
+            cv.polyline(vs)
     else:
-        cv.polyline(vs + [vs[0]], stroke="black", width=2)
+        cv.polyline(vs + [vs[0]])
     for sing in base.singularities:
         vertex = poly.vertices[sing.trade.target]
         cv.line(sing.position, vertex, stroke="black", width=2, dash="6,4")

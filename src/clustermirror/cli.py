@@ -14,8 +14,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .lattice import rational_strings, rationals
-from .seed import (deserialize_seed, exchange_graph, mutate_sequence, node_budget,
-                   serialize_seed)
+from .seed import deserialize_seed, exchange_graph, mutate_sequence, serialize_seed
 from .toric_model import fan_from_seed, model_to_json, toric_model
 from .syz_base import (CHARACTER, COCHARACTER, base_from_fan, base_to_json,
                        render_svg as render_syz_svg, toggle_convention)
@@ -154,7 +153,7 @@ def cmd_seed_mutate(args):
 
 def cmd_seed_graph(args):
     s = deserialize_seed(_load_json(args.seed))
-    g = exchange_graph(s, args.depth, max_nodes=node_budget())
+    g = exchange_graph(s, args.depth)
     _write(args.out, _dump_json(g))
 
 

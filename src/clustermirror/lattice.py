@@ -8,7 +8,8 @@ pure, so everything is safe to share.
 mat_inv and solve_rational share one fraction-free Gauss-Jordan kernel
 over Z (_rref): rational input is scaled to integers row by row, the
 elimination divides only exactly, and each result entry becomes one
-Fraction at the end.  det keeps its own integer Bareiss loop.
+Fraction at the end.  det keeps its own integer Bareiss loop, which
+clears below each pivot only; Gauss-Jordan also clears above it.
 """
 
 from contextlib import contextmanager
@@ -71,7 +72,11 @@ def content(v):
 
 
 def primitive_part(v):
-    """v divided by the gcd of its entries.  Errors on the zero vector."""
+    """The primitive integer vector on the ray of an integer or rational
+    vector v: v scaled to integers by the lcm of its denominators, then
+    divided by the gcd of its entries.  Errors on the zero vector."""
+    q = lcm(*(x.denominator for x in v))
+    v = [x.numerator * (q // x.denominator) for x in v]
     g = content(v)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
@@ -91,6 +96,16 @@ def ext_gcd(a, b):
     if old_r < 0:
         return -old_r, -old_u, -old_v
     return old_r, old_u, old_v
+
+
+def bezout_complete(psi):
+    """Some A in SL(2,Z) with A e1 = psi."""
+    a, b = psi
+    g, u, v = ext_gcd(a, b)
+    if g != 1:
+        raise ValueError("cannot complete an imprimitive vector to a basis")
+    # columns psi and (-v, u): determinant a*u + b*v = 1
+    return ((a, -v), (b, u))
 
 
 def as_int(x):
@@ -157,7 +172,8 @@ def det(M):
 
     Fraction-free Bareiss elimination; stays in Z for integer input.
     Kept apart from _rref because seed validation runs it on every
-    mutation, where rational Gauss-Jordan would be slower.
+    mutation: Bareiss clears only below each pivot, where _rref's
+    Gauss-Jordan also clears above it.
     """
     n = len(M)
     if any(len(row) != n for row in M):

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, lcm
 
-from .lattice import (as_int, content, det, ext_gcd, identity, malformed, mat_inv,
-                      mat_mul, rationals, rational_strings)
+from .lattice import (as_int, bezout_complete, content, det, identity, malformed,
+                      mat_inv, mat_mul, rationals, rational_strings)
 from .skeleton import circle_class, dehn_twist, intersection_number
 
 SIGN_TWIST = -1
@@ -158,12 +158,8 @@ def canonical_transversal(s):
     to the line s^perp (Gram rounding), which gives t = (0,1) for
     s = (1,0)."""
     a, b = s
-    g, u, v = ext_gcd(b, a)
-    if g != 1:
-        raise LocalSystemError("circle class must be primitive")
-    # u*b + v*a = 1; want t1*b - t2*a = -1
-    t0 = (-u, v)
-    assert t0[0] * b - t0[1] * a == -1
+    # bezout_complete(s) = [s t0] has det 1, so <t0, s> = -1
+    t0 = tuple(row[1] for row in bezout_complete(s))
     lam = floor(Fraction(t0[0] * a + t0[1] * b, a * a + b * b) + Fraction(1, 2))
     return (t0[0] - lam * a, t0[1] - lam * b)
 

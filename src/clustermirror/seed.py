@@ -54,8 +54,8 @@ def validate_seed(s):
                 raise SeedError("B must be skew-symmetric")
     if len(s.d) != s.n or any(di < 1 for di in s.d):
         raise SeedError("multipliers must be positive")
-    basis = tuple(tuple(s.psi[j][i] for j in range(s.n)) for i in range(s.n))
-    if not is_unimodular(basis):
+    # psi holds the basis as rows; det is transpose-invariant
+    if not is_unimodular(s.psi):
         raise SeedError("psi must be a Z-basis (determinant +-1)")
 
 

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 PREC = 3
 GRID_LINES = 100      # most grid lines drawn across one axis, plus one
+SCALE = 60            # pixels per world unit
+MARGIN = 20           # pixels around the viewport
 
 
 def fmt(x):
@@ -40,14 +42,12 @@ class SvgCanvas:
     """Accumulates SVG elements; world coordinates are mapped to pixels
     with y flipped so the picture matches the usual math orientation."""
 
-    def __init__(self, xmin, ymin, xmax, ymax, scale=60, margin=20):
+    def __init__(self, xmin, ymin, xmax, ymax):
         self.xmin, self.ymin, self.xmax, self.ymax = (
             Fraction(xmin), Fraction(ymin), Fraction(xmax), Fraction(ymax))
-        self.scale = scale
-        self.margin = margin
         try:
-            self.width = float(self.xmax - self.xmin) * scale + 2 * margin
-            self.height = float(self.ymax - self.ymin) * scale + 2 * margin
+            self.width = float(self.xmax - self.xmin) * SCALE + 2 * MARGIN
+            self.height = float(self.ymax - self.ymin) * SCALE + 2 * MARGIN
         except OverflowError:
             self.width = math.inf
         if math.isinf(self.width) or math.isinf(self.height):
@@ -56,8 +56,8 @@ class SvgCanvas:
         self.elems = []
 
     def px(self, p):
-        x = (Fraction(p[0]) - self.xmin) * self.scale + self.margin
-        y = (self.ymax - Fraction(p[1])) * self.scale + self.margin
+        x = (Fraction(p[0]) - self.xmin) * SCALE + MARGIN
+        y = (self.ymax - Fraction(p[1])) * SCALE + MARGIN
         return x, y
 
     def line(self, a, b, stroke="black", width=1, dash=None):
@@ -67,35 +67,35 @@ class SvgCanvas:
             '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"%s/>'
             % (fmt(x1), fmt(y1), fmt(x2), fmt(y2), stroke, width, extra))
 
-    def polyline(self, pts, stroke="black", width=2):
+    def polyline(self, pts):
         coords = " ".join("%s,%s" % (fmt(x), fmt(y)) for x, y in map(self.px, pts))
         self.elems.append(
-            '<polyline points="%s" fill="none" stroke="%s" stroke-width="%s"/>'
-            % (coords, stroke, width))
+            '<polyline points="%s" fill="none" stroke="black" stroke-width="2"/>' % coords)
 
     def circle(self, c, rpx=4, fill="black"):
         x, y = self.px(c)
         self.elems.append(
             '<circle cx="%s" cy="%s" r="%s" fill="%s"/>' % (fmt(x), fmt(y), rpx, fill))
 
-    def cross(self, c, half=5, stroke="red", width=2):
+    def cross(self, c):
+        """A red X filling the 10-pixel square centred on c."""
         x, y = self.px(c)
-        h = half
+        h = 5
         self.elems.append(
-            '<path d="M %s %s L %s %s M %s %s L %s %s" stroke="%s" stroke-width="%s"/>'
+            '<path d="M %s %s L %s %s M %s %s L %s %s" stroke="red" stroke-width="2"/>'
             % (fmt(x - h), fmt(y - h), fmt(x + h), fmt(y + h),
-               fmt(x - h), fmt(y + h), fmt(x + h), fmt(y - h), stroke, width))
+               fmt(x - h), fmt(y + h), fmt(x + h), fmt(y - h)))
 
-    def grid(self, stroke="#dddddd"):
+    def grid(self):
         """Grid lines at the multiples of a step per axis: 1 for spans of
         up to GRID_LINES units, else the least of 2, 5, 10, 20, 50, ...
         that keeps the axis at GRID_LINES + 1 lines or fewer."""
         step = grid_step(self.xmax - self.xmin)
         for x in range(math.ceil(self.xmin / step) * step, math.floor(self.xmax) + 1, step):
-            self.line((x, self.ymin), (x, self.ymax), stroke=stroke, width=1)
+            self.line((x, self.ymin), (x, self.ymax), stroke="#dddddd")
         step = grid_step(self.ymax - self.ymin)
         for y in range(math.ceil(self.ymin / step) * step, math.floor(self.ymax) + 1, step):
-            self.line((self.xmin, y), (self.xmax, y), stroke=stroke, width=1)
+            self.line((self.xmin, y), (self.xmax, y), stroke="#dddddd")
 
     def clip_ray(self, origin, direction):
         """Largest segment of origin + t*direction (t >= 0) inside the

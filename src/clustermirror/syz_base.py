@@ -24,7 +24,7 @@ tests assert it never varies.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import ext_gcd, is_primitive, rational_strings, transpose
+from .lattice import bezout_complete, is_primitive, rational_strings, transpose
 from .svg import SvgCanvas
 
 CONJUGATION_SIGN = -1
@@ -35,10 +35,10 @@ COCHARACTER = "cocharacter"
 
 @dataclass(frozen=True)
 class AffineSingularity2D:
+    """The branch cut runs from position along +direction."""
     position: tuple      # rational point
     direction: tuple     # primitive integer eigen direction
     monodromy: tuple
-    cut: tuple           # (origin point, direction) of the branch cut
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,6 @@ def monodromy_matrix(psi):
         raise ValueError("monodromy direction must be primitive")
     a, b = psi
     return ((1 + a * b, -a * a), (b * b, 1 - a * b))
-
-
-def bezout_complete(psi):
-    """Some A in SL(2,Z) with A e1 = psi."""
-    a, b = psi
-    g, u, v = ext_gcd(a, b)
-    if g != 1:
-        raise ValueError("cannot complete an imprimitive vector to a basis")
-    # columns psi and (-v, u): determinant a*u + b*v = 1
-    return ((a, -v), (b, u))
 
 
 def base_from_fan(fan, radii=None):
@@ -87,7 +77,7 @@ def base_from_fan(fan, radii=None):
         if not is_primitive(psi):
             raise ValueError("ray generator must be primitive")
         pos = (rad * psi[0], rad * psi[1])
-        sings.append(AffineSingularity2D(pos, psi, monodromy_matrix(psi), (pos, psi)))
+        sings.append(AffineSingularity2D(pos, psi, monodromy_matrix(psi)))
     return IntegralAffineBase2D(tuple(sings), CHARACTER)
 
 
@@ -95,7 +85,7 @@ def toggle_convention(base):
     """Transpose every monodromy and flip the convention flag."""
     flipped = CHARACTER if base.convention == COCHARACTER else COCHARACTER
     sings = tuple(
-        AffineSingularity2D(s.position, s.direction, transpose(s.monodromy), s.cut)
+        AffineSingularity2D(s.position, s.direction, transpose(s.monodromy))
         for s in base.singularities)
     return IntegralAffineBase2D(sings, flipped)
 
@@ -108,27 +98,25 @@ def base_to_json(base):
                 "position": rational_strings(s.position),
                 "direction": list(s.direction),
                 "monodromy": [list(row) for row in s.monodromy],
-                "cut": {"origin": rational_strings(s.cut[0]),
-                        "direction": list(s.cut[1])},
+                "cut": {"origin": rational_strings(s.position),
+                        "direction": list(s.direction)},
             }
             for s in base.singularities
         ],
     }
 
 
-def render_svg(base, viewport=(-3, -3, 3, 3), fan_overlay=True):
-    """Draw the base: grid, optional fan rays from the origin, branch
-    cuts as dashed rays, singularities as red crosses."""
-    xmin, ymin, xmax, ymax = viewport
-    cv = SvgCanvas(xmin, ymin, xmax, ymax)
+def render_svg(base, viewport=(-3, -3, 3, 3)):
+    """Draw the base: grid, fan rays from the origin, branch cuts as
+    dashed rays, singularities as red crosses."""
+    cv = SvgCanvas(*viewport)
     cv.grid()
-    if fan_overlay:
-        for s in base.singularities:
-            seg = cv.clip_ray((0, 0), s.direction)
-            if seg:
-                cv.line(seg[0], seg[1], stroke="#888888", width=1)
     for s in base.singularities:
-        seg = cv.clip_ray(s.cut[0], s.cut[1])
+        seg = cv.clip_ray((0, 0), s.direction)
+        if seg:
+            cv.line(seg[0], seg[1], stroke="#888888", width=1)
+    for s in base.singularities:
+        seg = cv.clip_ray(s.position, s.direction)
         if seg:
             cv.line(seg[0], seg[1], stroke="black", width=2, dash="6,4")
     for s in base.singularities:

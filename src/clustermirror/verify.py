@@ -9,22 +9,22 @@ around run_suites.
 import random
 from fractions import Fraction
 
-from .lattice import mat_inv, mat_mul, rational_strings, transpose, unimodular_inverse
+from .lattice import (bezout_complete, det, mat_inv, mat_mul, rational_strings,
+                      transpose, unimodular_inverse)
 from .seed import (Seed, exchange_matrix, matrix_mutation_oracle, mutate,
                    is_skew_symmetrizable, serialize_seed)
 from .skeleton import disk_surgery, skeleton_from_seed, intersection_number, dehn_twist
 from .syz_base import monodromy_matrix, base_from_fan, toggle_convention
 from .toric_model import StackyFan1D
-from .local_system import (SIGN_TWIST, holonomy_around, is_mutable, local_system,
+from .local_system import (SIGN_TWIST, NotMutable, holonomy_around, local_system,
                            mutate_local_system)
 from .almost_toric import (MomentPolytope, NodalTrade, apply_trades,
                            smoothness_check)
-from .syz_base import bezout_complete
 
 STANDARD_B = ((0, 1), (-1, 0))
 
 
-def _random_unimodular(rng, n, steps=4):
+def _random_unimodular(rng, n, steps):
     """Product of a few elementary transvections and signed swaps."""
     M = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps):
@@ -42,10 +42,11 @@ def _random_unimodular(rng, n, steps=4):
     return tuple(tuple(row) for row in M)
 
 
-def random_seed_corpus(rng, max_rank=6, eps_bound=4):
-    """One random skew-symmetrizable seed with small exchange entries."""
+def random_seed_corpus(rng):
+    """One random skew-symmetrizable seed of rank 2 to 6 with exchange
+    entries of absolute value at most 4."""
     while True:
-        n = rng.randrange(2, max_rank + 1)
+        n = rng.randrange(2, 7)
         r = rng.randrange(1, n + 1)
         B = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -57,7 +58,7 @@ def random_seed_corpus(rng, max_rank=6, eps_bound=4):
         psi = tuple(tuple(psi_rows[i][k] for i in range(n)) for k in range(n))
         s = Seed(n, r, psi, tuple(tuple(row) for row in B), d)
         eps = exchange_matrix(s).eps
-        if all(abs(x) <= eps_bound for row in eps for x in row):
+        if all(abs(x) <= 4 for row in eps for x in row):
             return s
 
 
@@ -154,7 +155,7 @@ def suite_smoothness(rng, cases=200):
         # complete to |det| = 1 and orient the cone like (R>=0)^2
         A = bezout_complete(a)
         b = (A[0][1], A[1][1])
-        if a[0] * b[1] - a[1] * b[0] == 1:
+        if intersection_number(a, b) == 1:
             a, b = b, a
         poly = MomentPolytope(2, ((Fraction(0), Fraction(0)),), (a, b), ())
         t = Fraction(rng.randrange(1, 5), rng.randrange(1, 4))
@@ -168,7 +169,7 @@ def _random_invertible_frac(rng):
     while True:
         M = tuple(tuple(Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
                         for _ in range(2)) for _ in range(2))
-        if M[0][0] * M[1][1] - M[0][1] * M[1][0] != 0:
+        if det(M) != 0:
             return M
 
 
@@ -185,12 +186,13 @@ def _random_commuting_pair(rng):
 
 def coherence_law_holds(ls, s):
     """Double mutation equals the tau_s pullback twisted by the global
-    sign: E''_c = SIGN_TWIST^<c,s> E_{tau_s(c)}."""
-    once, _ = mutate_local_system(ls, s)
-    neg = (-s[0], -s[1])
-    if not is_mutable(once, neg):
+    sign: E''_c = SIGN_TWIST^<c,s> E_{tau_s(c)}.  None when either
+    mutation is undefined."""
+    try:
+        once, _ = mutate_local_system(ls, s)
+        twice, _ = mutate_local_system(once, (-s[0], -s[1]))
+    except NotMutable:
         return None
-    twice, _ = mutate_local_system(once, neg)
     for j, c in enumerate(((1, 0), (0, 1))):
         m = intersection_number(c, s)
         want = holonomy_around(ls, dehn_twist(c, s))
@@ -215,8 +217,6 @@ def suite_coherence(rng, cases=100):
         else:
             A, B = _random_commuting_pair(rng)
             ls = local_system([A, B])
-        if not is_mutable(ls, s):
-            continue
         res = coherence_law_holds(ls, s)
         if res is None:
             continue

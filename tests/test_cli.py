@@ -79,6 +79,13 @@ def test_base_syz_deterministic(tmp_path):
     assert outs[0] == (FIXTURES / "a2_syz.svg").read_bytes()
 
 
+def test_base_syz_json_golden(tmp_path):
+    js = tmp_path / "a2.json"
+    assert run(["base", "syz", "--seed", str(FIXTURES / "a2_seed.json"),
+                "--out", str(tmp_path / "a2.svg"), "--json", str(js)]) == 0
+    assert js.read_bytes() == (FIXTURES / "a2_syz.json").read_bytes()
+
+
 def test_base_syz_convention(tmp_path):
     out = tmp_path / "b.svg"
     j = tmp_path / "b.json"

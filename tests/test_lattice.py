@@ -21,6 +21,13 @@ def test_is_primitive_examples():
         is_primitive((0, 0))
 
 
+def test_primitive_part_of_rational_vectors():
+    assert primitive_part((Fraction(3, 2), Fraction(-9, 4))) == (2, -3)
+    assert primitive_part((4, -6)) == (2, -3)
+    with pytest.raises(ValueError):
+        primitive_part((Fraction(0), Fraction(0)))
+
+
 def test_det_examples():
     assert det(((1, 1), (0, 1))) == 1
     assert det(((2, 1), (-1, 0))) == 1

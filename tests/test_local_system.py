@@ -157,6 +157,8 @@ def test_outputs_commute_and_invert():
 def test_double_mutation_law_rank1():
     assert coherence_law_holds(rank_one([2, 3]), (1, 0)) is True
     assert coherence_law_holds(rank_one([5, Fraction(1, 2)]), (1, 1)) is True
+    # holonomy 1 around s: the first mutation is undefined
+    assert coherence_law_holds(rank_one([1, 5]), (1, 0)) is None
 
 
 def test_double_mutation_coherence_randomized():
