@@ -23,10 +23,10 @@ B-side monodromy of the eigen direction.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (Infeasible, Point, as_int, as_rational, ints, is_unimodular,
-                      malformed, mat_mul, mat_vec, primitive_part, rational_strings,
-                      rationals, solve_rational, transpose, unimodular_inverse, vec_add,
-                      vec_neg, vec_sub)
+from .lattice import (Infeasible, Point, as_int, as_rational, feasible, ints,
+                      is_unimodular, malformed, mat_mul, mat_vec, primitive_part,
+                      rational_strings, rationals, solve_rational, transpose,
+                      unimodular_inverse, vec_add, vec_neg, vec_sub)
 from .skeleton import Handle, Skeleton, circle_class, intersection_number
 from .svg import SvgCanvas
 
@@ -135,32 +135,15 @@ def smoothable_corner_chart(poly, vertex):
     return (M, poly.vertices[vertex])
 
 
-def _excised_triangle(sing):
-    """The local-model triangle hull{0, (2t,0), (0,2t)} pulled back to
+def _chart_halfplanes(sing):
+    """The local-model triangle y0 >= 0, y1 >= 0, y0 + y1 <= 2t in the
+    chart y = M (x - p), as three half-planes normal . x >= rhs in
     polygon coordinates; the singularity sits on its hypotenuse."""
     M, p = sing.chart
-    Minv = unimodular_inverse(M)
-    t2 = 2 * Fraction(sing.trade.t)
-    return tuple(vec_add(mat_vec(Minv, y), p) for y in ((0, 0), (t2, 0), (0, t2)))
-
-
-def _project(pts, axis):
-    vals = [axis[0] * Fraction(p[0]) + axis[1] * Fraction(p[1]) for p in pts]
-    return min(vals), max(vals)
-
-
-def convex_polygons_intersect(A, B):
-    """Separating-axis test for closed convex polygons, exact."""
-    for pts in (A, B):
-        m = len(pts)
-        for i in range(m):
-            e = vec_sub(pts[(i + 1) % m], pts[i])
-            axis = (-e[1], e[0])
-            a_lo, a_hi = _project(A, axis)
-            b_lo, b_hi = _project(B, axis)
-            if a_hi < b_lo or b_hi < a_lo:
-                return False
-    return True
+    normals = (M[0], M[1], vec_neg(vec_add(M[0], M[1])))
+    offsets = (0, 0, -2 * Fraction(sing.trade.t))
+    return [(nrm, sum(a * x for a, x in zip(nrm, p)) + off)
+            for nrm, off in zip(normals, offsets)]
 
 
 def _facet(poly, i):
@@ -246,62 +229,28 @@ def detect_interactions(poly, trades):
         for bi in range(ai + 1, len(trades)):
             faces = set(trades[ai].target) | set(trades[bi].target)
             eqs = [_facet(poly, fid) for fid in faces]
-            A = [list(n) for n, _ in eqs]
-            b = [r for _, r in eqs]
-            sol = solve_rational(A, b)
-            if isinstance(sol, Infeasible):
-                continue
             ineqs = [f for i, f in enumerate(poly.facets) if i not in faces]
-            point, basis = ((sol.coords, ()) if isinstance(sol, Point)
-                            else (sol.point, sol.basis))
-            if _feasible_on_subspace(point, basis, ineqs):
+            if feasible(eqs, ineqs):
                 out.append((ai, bi))
     return tuple(out)
-
-
-def _feasible_on_subspace(point, basis, ineqs):
-    """Fourier-Motzkin feasibility of normal.x >= rhs restricted to the
-    affine subspace point + span(basis) (exact rationals)."""
-    k = len(basis)
-    system = []
-    for n, r in ineqs:
-        const = sum(Fraction(ni) * pi for ni, pi in zip(n, point))
-        coeffs = [sum(Fraction(ni) * bi for ni, bi in zip(n, bvec)) for bvec in basis]
-        system.append((coeffs, r - const))    # coeffs . y >= rhs'
-    for var in range(k):
-        lower, upper, rest = [], [], []
-        for coeffs, rhs in system:
-            c = coeffs[var]
-            if c > 0:
-                lower.append(([x / c for x in coeffs], rhs / c))
-            elif c < 0:
-                upper.append(([x / c for x in coeffs], rhs / c))
-            else:
-                rest.append((coeffs, rhs))
-        new = rest
-        for lc, lr in lower:
-            for uc, ur in upper:
-                coeffs = [u - l for u, l in zip(lc, uc)]
-                coeffs[var] = Fraction(0)
-                new.append((coeffs, lr - ur))
-        system = new
-    return all(rhs <= 0 for _, rhs in system)
 
 
 def apply_trades(poly, trades):
     targets = [tr.target for tr in trades]
     for target in targets:
         _check_target(poly, target)
-    if len(set(targets)) != len(targets):
+    # an nD face is a pair of facets, whichever order names it
+    if len({t if poly.dimension == 2 else frozenset(t) for t in targets}) != len(targets):
         raise AlmostToricError("trade targets must be distinct")
     sings = tuple(_trade_singularity(poly, tr) for tr in trades)
     if poly.dimension > 2:
         return AlmostToricBase(poly, sings, detect_interactions(poly, trades))
-    # a lone trade overlaps nothing, so its triangle is not built
-    triangles = [_excised_triangle(sing) for sing in sings] if len(sings) > 1 else ()
+    # a lone trade overlaps nothing, so its triangle is not built;
+    # closed triangles that touch overlap
+    triangles = [_chart_halfplanes(sing) for sing in sings] if len(sings) > 1 else ()
     for i in range(len(sings)):
         for j in range(i + 1, len(sings)):
-            if convex_polygons_intersect(triangles[i], triangles[j]):
+            if feasible((), triangles[i] + triangles[j]):
                 raise AlmostToricError(
                     "overlapping trade neighborhoods: trades %d and %d" % (i, j))
     return AlmostToricBase(poly, sings, ())
@@ -374,28 +323,13 @@ def common_basepoint(base):
         raise InfeasibleBase(None, "eigenloci have no common point")
     if isinstance(sol, Point):
         return sol.coords, None
-    dim = len(sol.point)
-    centroid = tuple(
-        sum(Fraction(s.position[i]) for s in sings) / len(sings) for i in range(dim))
-    q = _project_onto_affine(centroid, sol)
-    return q, sol
-
-
-def _project_onto_affine(x, sub):
-    """Orthogonal projection of x onto point + span(basis), exact."""
-    point, basis = sub.point, sub.basis
-    k = len(basis)
-    diff = [Fraction(a) - Fraction(b) for a, b in zip(x, point)]
-    G = [[sum(Fraction(u) * Fraction(v) for u, v in zip(basis[i], basis[j]))
-          for j in range(k)] for i in range(k)]
-    rhs = [sum(Fraction(u) * d for u, d in zip(basis[i], diff)) for i in range(k)]
-    coef = solve_rational(G, rhs)
-    assert isinstance(coef, Point)
-    out = list(point)
-    for c, bvec in zip(coef.coords, basis):
-        for i in range(len(out)):
-            out[i] += c * Fraction(bvec[i])
-    return tuple(out)
+    # the projection q solves A q = b and v . q = v . centroid for every
+    # v in the basis; the rows of A span the basis' orthogonal complement
+    centroid = [sum(Fraction(s.position[i]) for s in sings) / len(sings)
+                for i in range(len(sol.point))]
+    q = solve_rational(A + [list(v) for v in sol.basis],
+                       b + [sum(a * x for a, x in zip(v, centroid)) for v in sol.basis])
+    return q.coords, sol
 
 
 def skeleton_from_base(base, q):

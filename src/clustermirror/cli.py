@@ -184,12 +184,13 @@ def cmd_base_trade(args):
     poly = polytope_from_json(_load_json(args.polytope))
     trades = trades_from_json(_load_json(args.trades))
     base = apply_trades(poly, trades)
-    q = common_basepoint(base)[0] if args.skeleton else None
     if poly.dimension > 2 and args.out is None:
         # only 2D bases render; without an explicit --out an nD base is
         # written as its JSON document alone
         _write(args.json, _dump_json(atf_base_to_json(base)))
         return
+    # the basepoint is only drawn, so only a 2D base needs one
+    q = common_basepoint(base)[0] if args.skeleton and poly.dimension == 2 else None
     _write(args.out, render_trade_svg(base, q=q))
     if args.json:
         _write(args.json, _dump_json(atf_base_to_json(base)))

@@ -8,8 +8,12 @@ pure, so everything is safe to share.
 mat_inv and solve_rational share one fraction-free Gauss-Jordan kernel
 over Z (_rref): rational input is scaled to integers row by row, the
 elimination divides only exactly, and each result entry becomes one
-Fraction at the end.  det keeps its own integer Bareiss loop, which
-clears below each pivot only; Gauss-Jordan also clears above it.
+Fraction at the end.  One pivot step (_pivot) serves _rref and the
+exact LP feasibility test (feasible), whose simplex runs on it too.
+det keeps its own integer Bareiss loop, which clears below each pivot
+only, where _pivot also clears above it: it runs on every seed
+validation, and through _pivot it ran 2-3 times slower on random 3x3
+to 6x6 integer matrices.
 """
 
 from contextlib import contextmanager
@@ -208,13 +212,13 @@ def _rref(rows, ncols):
     """Fraction-free Gauss-Jordan elimination on the first ncols columns.
 
     Each row is first scaled to integers by the lcm of its denominators.
-    Each pivot step then sets every other row to (pv * row - f * pivot
-    row) // prev, where pv is the new pivot, f the row's entry in the
-    pivot column and prev the previous pivot.  Sylvester's identity makes
-    every division exact, so all arithmetic stays in Z and each entry is
-    a minor of the scaled input.  At the end every pivot row carries the
-    same pivot d in its pivot column, and the reduced row echelon form
-    over Q is the returned rows divided by d.
+    Each pivot step (_pivot) then sets every other row to (pv * row - f *
+    pivot row) // prev, where pv is the new pivot, f the row's entry in
+    the pivot column and prev the previous pivot.  Sylvester's identity
+    makes every division exact, so all arithmetic stays in Z and each
+    entry is a minor of the scaled input.  At the end every pivot row
+    carries the same pivot d in its pivot column, and the reduced row
+    echelon form over Q is the returned rows divided by d.
 
     Returns the integer rows (lists), the pivot columns and d.
     """
@@ -230,15 +234,22 @@ def _rref(rows, ncols):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        pr = a[r]
-        pv = pr[c]
-        for i, row in enumerate(a):
-            if i != r:
-                f = row[c]
-                a[i] = [(pv * x - f * y) // prev for x, y in zip(row, pr)]
-        prev = pv
+        prev = _pivot(a, r, c, prev)
         pivots.append(c)
     return a, pivots, prev
+
+
+def _pivot(a, r, c, prev):
+    """One fraction-free pivot on the integer rows a at a[r][c]: every
+    other row becomes (pv * row - f * pivot row) // prev, in place.
+    Returns pv, the prev of the next step."""
+    pr = a[r]
+    pv = pr[c]
+    for i, row in enumerate(a):
+        if i != r:
+            f = row[c]
+            a[i] = [(pv * x - f * y) // prev for x, y in zip(row, pr)]
+    return pv
 
 
 def mat_inv(M):
@@ -310,3 +321,48 @@ def solve_rational(A, b):
         basis.append(tuple(dirv))
     return AffineSubspace(tuple(point), tuple(basis))
 
+
+def feasible(eqs, ineqs):
+    """True iff some rational x has a . x == b for every (a, b) in eqs
+    and a . x >= b for every (a, b) in ineqs (integer a, rational b).
+
+    _rref eliminates x from the rows a . x - s_k = b, with one slack
+    s_k >= 0 per inequality.  The pivot rows then fix x for any slacks,
+    so what is left is whether the other rows S s = h have a solution
+    s >= 0.  A phase-1 simplex decides that on _pivot: each row starts
+    with an artificial basic variable, whose column is left implicit
+    because it never re-enters once it leaves, and the last row holds
+    minus the column sums, the reduced costs of the artificials' sum.
+    Bland's rule (the first improving column, ties going to the lowest
+    basic variable) cannot cycle.  Every pivot is positive, so the
+    common denominator stays positive and the ratio test compares by
+    cross-multiplication.
+    """
+    m = len(ineqs)
+    rows = [list(a) + [0] * m + [b] for a, b in eqs]
+    rows += [list(a) + [-int(j == k) for j in range(m)] + [b]
+             for k, (a, b) in enumerate(ineqs)]
+    if not rows:
+        return True
+    n = len(rows[0]) - m - 1
+    rows, pivots, _ = _rref(rows, n)
+    t = [row[n:] if row[-1] >= 0 else [-x for x in row[n:]] for row in rows[len(pivots):]]
+    if not t:
+        return True
+    basis = list(range(m, m + len(t)))
+    t.append([-sum(col) for col in zip(*t)])
+    prev = 1
+    while t[-1][-1] != 0:
+        c = next((j for j in range(m) if t[-1][j] < 0), None)
+        if c is None:
+            return False
+        # t[-1][c] < 0 is minus a sum over the rows still on an
+        # artificial, so one of them has row[c] > 0
+        r = None
+        for i, row in enumerate(t[:-1]):
+            if row[c] > 0 and (r is None or (row[-1] * t[r][c], basis[i])
+                               < (t[r][-1] * row[c], basis[r])):
+                r = i
+        prev = _pivot(t, r, c, prev)
+        basis[r] = c
+    return True

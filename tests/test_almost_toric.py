@@ -1,18 +1,23 @@
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clustermirror.almost_toric import (AlmostToricError, InfeasibleBase,
                                         MomentPolytope, NodalTrade,
                                         apply_trades, common_basepoint,
                                         detect_interactions, disk_classes,
-                                        render_svg,
+                                        polytope_from_json, render_svg,
                                         skeleton_from_base,
                                         smoothable_corner_chart,
-                                        smoothness_check)
-from clustermirror.lattice import det, identity, mat_vec, transpose
+                                        smoothness_check, trades_from_json)
+from clustermirror.lattice import (Infeasible, Point, det, identity, mat_vec,
+                                   solve_rational, transpose, unimodular_inverse,
+                                   vec_add, vec_sub)
 from clustermirror.skeleton import Handle
 from clustermirror.syz_base import monodromy_matrix
 
@@ -213,3 +218,196 @@ def test_trade_targets_must_name_existing_faces():
     for target in (-1, 1, (0, 1)):
         with pytest.raises(AlmostToricError):
             apply_trades(QUADRANT, (NodalTrade(target, (identity(2), (0, 0))),))
+
+
+def _fourier_motzkin(eqs, ineqs):
+    """Reference oracle: solve the equations, then eliminate the free
+    directions of their solution set from normal . x >= rhs one at a
+    time by Fourier-Motzkin over Fraction.  Exact, but each step can
+    square the inequality count."""
+    sol = solve_rational([list(a) for a, _ in eqs], [b for _, b in eqs])
+    if isinstance(sol, Infeasible):
+        return False
+    point, basis = (sol.coords, ()) if isinstance(sol, Point) else (sol.point, sol.basis)
+    system = []
+    for a, r in ineqs:
+        const = sum(Fraction(x) * p for x, p in zip(a, point))
+        system.append(([sum(Fraction(x) * b for x, b in zip(a, bv)) for bv in basis],
+                       r - const))
+    for var in range(len(basis)):
+        lower, upper, rest = [], [], []
+        for coeffs, rhs in system:
+            c = coeffs[var]
+            if c > 0:
+                lower.append(([x / c for x in coeffs], rhs / c))
+            elif c < 0:
+                upper.append(([x / c for x in coeffs], rhs / c))
+            else:
+                rest.append((coeffs, rhs))
+        for lc, lr in lower:
+            for uc, ur in upper:
+                coeffs = [u - l for u, l in zip(lc, uc)]
+                coeffs[var] = Fraction(0)
+                rest.append((coeffs, lr - ur))
+        system = rest
+    return all(rhs <= 0 for _, rhs in system)
+
+
+def _orthant(n, extra=()):
+    return tuple((tuple(int(i == j) for j in range(n)), Fraction(0)) for i in range(n)) \
+        + tuple((a, Fraction(r)) for a, r in extra)
+
+
+@st.composite
+def traded_polytopes(draw):
+    """(n, facets, targets) in dimension 3-6 with 2 or 3 traded faces.
+    Each rhs is the normal's value at a planted integer point, shifted by
+    -1, 0 or 1: shift 0 puts the point on the facet, so faces through it
+    can touch there alone, and shift 1 cuts it off.  Small random normals
+    leave most regions unbounded."""
+    n = draw(st.integers(3, 6))
+    m = draw(st.integers(4, n + 4))
+    point = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    facets = []
+    for _ in range(m):
+        a = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        shift = draw(st.sampled_from((-1, 0, 0, 1)))
+        facets.append((a, Fraction(sum(x * p for x, p in zip(a, point)) + shift)))
+    pairs = st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True)
+    targets = draw(st.lists(pairs.map(tuple), min_size=2, max_size=3))
+    return n, tuple(facets), tuple(targets)
+
+
+# the faces x = y = 0 and y = z = 0 meet only at 0, which x + y + z >= 1 cuts off
+CUT_OFF = (3, _orthant(3, [((1, 1, 1), 1)]), ((0, 1), (1, 2)))
+# the same faces touch at the one point 0, where x + y + z <= 0 also passes
+TOUCHING = (3, _orthant(3, [((-1, -1, -1), 0)]), ((0, 1), (1, 2)))
+# the faces of (0, 1) and (2, 3) meet along the unbounded ray x4 >= 3
+UNBOUNDED = (5, _orthant(5, [((0, 0, 0, 0, 1), 3)]), ((0, 1), (2, 3)))
+
+
+def _faces_meet(facets, a, b):
+    faces = set(a) | set(b)
+    return _fourier_motzkin([facets[k] for k in faces],
+                            [f for k, f in enumerate(facets) if k not in faces])
+
+
+@settings(max_examples=300, deadline=None)
+@given(traded_polytopes())
+@example(CUT_OFF)
+@example(TOUCHING)
+@example(UNBOUNDED)
+def test_interactions_match_fourier_motzkin(case):
+    n, facets, targets = case
+    want = tuple((i, j) for i in range(len(targets)) for j in range(i + 1, len(targets))
+                 if _faces_meet(facets, targets[i], targets[j]))
+    poly = MomentPolytope(n, (), (), facets)
+    assert detect_interactions(poly, tuple(NodalTrade(t) for t in targets)) == want
+
+
+def test_interaction_examples_are_what_they_say():
+    # the three facets of the two faces leave the one point 0
+    for _n, facets, _targets in (CUT_OFF, TOUCHING):
+        assert solve_rational([list(a) for a, _ in facets[:3]], [0, 0, 0]) \
+            == Point((Fraction(0),) * 3)
+    assert not _faces_meet(CUT_OFF[1], *CUT_OFF[2])
+    assert _faces_meet(TOUCHING[1], *TOUCHING[2])
+    # the meeting goes on past x4 = 10^6, and x4 <= 2 leaves none of it
+    _n, facets, targets = UNBOUNDED
+    assert _faces_meet(facets + (((0, 0, 0, 0, 1), Fraction(10 ** 6)),), *targets)
+    assert not _faces_meet(facets + (((0, 0, 0, 0, -1), Fraction(-2)),), *targets)
+
+
+def _triangle(chart, t):
+    """Vertices of the excised triangle hull{0, (2t, 0), (0, 2t)} of a
+    chart x -> M (x - p), in polygon coordinates."""
+    M, p = chart
+    Minv = unimodular_inverse(M)
+    return [vec_add(mat_vec(Minv, y), p) for y in ((0, 0), (2 * t, 0), (0, 2 * t))]
+
+
+def _separating_axis(A, B):
+    """Reference oracle: closed convex polygons A and B meet unless the
+    normal of some edge separates them strictly."""
+    for pts in (A, B):
+        for i in range(len(pts)):
+            e = vec_sub(pts[(i + 1) % len(pts)], pts[i])
+            axis = (-e[1], e[0])
+            a = [axis[0] * x + axis[1] * y for x, y in A]
+            b = [axis[0] * x + axis[1] * y for x, y in B]
+            if max(a) < min(b) or max(b) < min(a):
+                return False
+    return True
+
+
+def test_overlap_matches_separating_axis():
+    rng = random.Random(20)
+
+    def chart():
+        while True:
+            M = tuple(tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(2))
+            if det(M) in (1, -1):
+                return M
+
+    def point():
+        return tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 2)) for _ in range(2))
+
+    seen = {}
+    for k in range(600):
+        kind = ("random", "corner on a vertex", "shared hypotenuse", "near miss")[k % 4]
+        t1, t2 = (Fraction(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(2))
+        M1, p1 = chart(), point()
+        if kind == "random":
+            M2, p2 = chart(), point()
+        elif kind == "corner on a vertex":
+            M2, p2 = chart(), rng.choice(_triangle((M1, p1), t1))
+        else:
+            # y' = (2t, 2t) - y reflects the triangle across its hypotenuse
+            t2 = t1
+            eps = Fraction(rng.randint(1, 3), rng.randint(1, 8)) if kind == "near miss" else 0
+            M2 = tuple(tuple(-x for x in row) for row in M1)
+            p2 = vec_add(p1, mat_vec(unimodular_inverse(M1), (2 * t1 + eps,) * 2))
+        want = _separating_axis(_triangle((M1, p1), t1), _triangle((M2, p2), t2))
+        trades = (NodalTrade(0, (M1, p1), t1), NodalTrade(1, (M2, p2), t2))
+        try:
+            apply_trades(BL0C2, trades)
+            got = False
+        except AlmostToricError as e:
+            assert "overlapping trade neighborhoods: trades 0 and 1" in str(e)
+            got = True
+        assert got == want, (kind, trades)
+        seen.setdefault(kind, set()).add(got)
+    # touching closed triangles overlap; a positive gap does not
+    assert seen == {"random": {False, True}, "corner on a vertex": {True},
+                    "shared hypotenuse": {True}, "near miss": {False}}
+
+
+def orthant_with_cuts(n, m, seed=1):
+    """The polytope and trades documents of the orthant x >= 0 in
+    dimension n, cut by m - n random facets with normal entries in
+    [-3, 1] and rhs in [-49, -5], so the origin stays inside.  Trades
+    target the faces (0, 1) and (2, 3); each chart's rows are facet
+    normals, the first two those of its targets, and its translation 0."""
+    rng = random.Random(seed)
+    facets = [{"normal": [int(i == j) for j in range(n)], "rhs": "0"} for i in range(n)]
+    for _ in range(m - n):
+        facets.append({"normal": [rng.randint(-3, 1) for _ in range(n)],
+                       "rhs": str(rng.randint(-49, -5))})
+    order = [2, 3, 0, 1] + list(range(4, n))
+    trades = [{"target": target,
+               "chart": {"matrix": [[int(rows[i] == j) for j in range(n)] for i in range(n)],
+                         "translation": ["0"] * n}}
+              for target, rows in (([0, 1], list(range(n))), ([2, 3], order))]
+    return {"dimension": n, "facets": facets}, {"trades": trades}
+
+
+def test_seeded_high_dimensional_faces_meet():
+    # Fourier-Motzkin needs about 10 s on the 9D document and over a
+    # minute on the 10D one; the faces meet at the origin in both
+    for n, m in ((9, 21), (10, 20)):
+        poly_doc, trades_doc = orthant_with_cuts(n, m)
+        base = apply_trades(polytope_from_json(poly_doc), trades_from_json(trades_doc))
+        assert base.interactions == ((0, 1),)
+    poly_doc, trades_doc = orthant_with_cuts(9, 21)
+    assert json.loads((FIXTURES / "orthant9_polytope.json").read_text()) == poly_doc
+    assert json.loads((FIXTURES / "orthant9_trades.json").read_text()) == trades_doc

@@ -389,9 +389,9 @@ ORTHANT_TRADES = {"trades": [{"target": [0, 1], "chart": CHART3},
                              {"target": [1, 2], "chart": CYCLE3}]}
 
 
-def _orthant_argv(tmp_path, trades=ORTHANT_TRADES):
+def _orthant_argv(tmp_path, trades=ORTHANT_TRADES, polytope=ORTHANT):
     poly_path, trades_path = tmp_path / "poly.json", tmp_path / "trades.json"
-    poly_path.write_text(json.dumps(ORTHANT))
+    poly_path.write_text(json.dumps(polytope))
     trades_path.write_text(json.dumps(trades))
     return ["base", "trade", "--polytope", str(poly_path), "--trades", str(trades_path)]
 
@@ -417,6 +417,39 @@ def test_nd_base_trade_writes_json(tmp_path, capsys):
     assert run(argv + ["--json", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text()) == doc
+
+
+def test_nd_same_face_traded_twice_exit_2(tmp_path, capsys):
+    swapped = dict(CHART3, matrix=[[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    twice = {"trades": [{"target": [0, 1], "chart": CHART3},
+                        {"target": [1, 0], "chart": swapped}]}
+    assert run(_orthant_argv(tmp_path, twice)) == 2
+    assert "trade targets must be distinct" in capsys.readouterr().err
+
+
+def test_nd_skeleton_flag_writes_the_same_bytes(tmp_path, capsys):
+    # the eigenloci of these trades never meet, but above dimension 2
+    # nothing is drawn, so no basepoint is sought
+    poly = dict(ORTHANT, facets=ORTHANT["facets"] + [{"normal": [1, 0, 1], "rhs": "5"},
+                                                      {"normal": [0, 1, 1], "rhs": "0"}])
+    sheared = {"matrix": [[1, 0, 1], [0, 1, 1], [0, 0, 1]], "translation": ["5", "0", "0"]}
+    trades = {"trades": [{"target": [0, 1], "chart": CHART3},
+                         {"target": [3, 4], "chart": sheared}]}
+    argv = _orthant_argv(tmp_path, trades, poly)
+    outputs = []
+    for flags in ([], ["--skeleton"]):
+        assert run(argv + flags + ["--json", str(tmp_path / "base.json")]) == 0
+        outputs.append((tmp_path / "base.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert capsys.readouterr().err == ""
+
+
+def test_nd_base_trade_9d_golden(capsys):
+    # two traded faces of the 9D orthant cut by 12 seeded facets
+    # (test_almost_toric.orthant_with_cuts)
+    assert run(["base", "trade", "--polytope", str(FIXTURES / "orthant9_polytope.json"),
+                "--trades", str(FIXTURES / "orthant9_trades.json")]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "orthant9_base.json").read_text()
 
 
 def test_nd_base_trade_explicit_out_exit_2(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clustermirror.lattice import (AffineSubspace, Infeasible, Point, det,
-                                   ext_gcd, identity, is_primitive, mat_inv,
+                                   ext_gcd, feasible, identity, is_primitive, mat_inv,
                                    mat_mul, primitive_part, solve_rational,
                                    unimodular_inverse)
 from clustermirror.skeleton import bondal_strata
@@ -46,6 +46,23 @@ def test_solve_examples():
     assert len(sol.basis) == 1
     with pytest.raises(ValueError):
         solve_rational([[1, 0]], [1, 2])
+
+
+def test_feasible_examples():
+    half = Fraction(1, 2)
+    assert feasible((), ())
+    assert feasible((((1, 0), half),), ())                   # nothing left after x
+    assert not feasible((((1, 0), 0), ((1, 0), 1)), ())       # x = 0 and x = 1
+    assert feasible((), (((1,), half), ((-1,), -half)))       # 1/2 <= x <= 1/2
+    assert not feasible((), (((1,), 1), ((-1,), 0)))          # 1 <= x <= 0
+    assert feasible((), (((0, 0), -1),))                      # 0 >= -1
+    assert not feasible((), (((0, 0), 1),))                   # 0 >= 1
+    # x + y = 1 meets x, y >= 0 on a segment, and x, y >= 1 nowhere
+    line = (((1, 1), 1),)
+    assert feasible(line, (((1, 0), 0), ((0, 1), 0)))
+    assert not feasible(line, (((1, 0), 1), ((0, 1), 1)))
+    # unbounded: x - y >= 5 with x, y >= 0
+    assert feasible((), (((1, -1), 5), ((1, 0), 0), ((0, 1), 0)))
 
 
 @settings(max_examples=100, deadline=None)
