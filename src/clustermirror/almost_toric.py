@@ -23,10 +23,10 @@ B-side monodromy of the eigen direction.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (Infeasible, Point, as_int, as_rational, feasible, ints,
-                      is_unimodular, malformed, mat_mul, mat_vec, primitive_part,
-                      rational_strings, rationals, solve_rational, transpose,
-                      unimodular_inverse, vec_add, vec_neg, vec_sub)
+from .lattice import (as_int, as_rational, feasible, ints, is_unimodular, malformed,
+                      mat_mul, mat_vec, primitive_part, rational_strings, rationals,
+                      solve_rational, transpose, unimodular_inverse, vec_add, vec_neg,
+                      vec_sub)
 from .skeleton import Handle, Skeleton, circle_class, intersection_number
 from .svg import SvgCanvas
 
@@ -313,23 +313,22 @@ def common_basepoint(base):
     A = [list(n) for n, _ in eqs]
     b = [r for _, r in eqs]
     sol = solve_rational(A, b)
-    if isinstance(sol, Infeasible):
+    if sol is None:
         for i in range(len(eqs)):
             for j in range(i + 1, len(eqs)):
-                pair_sol = solve_rational([A[i], A[j]], [b[i], b[j]])
-                if isinstance(pair_sol, Infeasible):
+                if solve_rational([A[i], A[j]], [b[i], b[j]]) is None:
                     raise InfeasibleBase(
                         (i, j), "eigenloci of trades %d and %d never meet" % (i, j))
         raise InfeasibleBase(None, "eigenloci have no common point")
-    if isinstance(sol, Point):
-        return sol.coords, None
+    if not sol.basis:
+        return sol.point, None
     # the projection q solves A q = b and v . q = v . centroid for every
     # v in the basis; the rows of A span the basis' orthogonal complement
     centroid = [sum(Fraction(s.position[i]) for s in sings) / len(sings)
                 for i in range(len(sol.point))]
     q = solve_rational(A + [list(v) for v in sol.basis],
                        b + [sum(a * x for a, x in zip(v, centroid)) for v in sol.basis])
-    return q.coords, sol
+    return q.point, sol
 
 
 def skeleton_from_base(base, q):
@@ -358,12 +357,6 @@ def skeleton_from_base(base, q):
             raise AssertionError("eigen normal fails to annihilate the disk direction")
         handles.append(Handle(psi, chi, 1))
     return Skeleton(base.polytope.dimension, tuple(handles))
-
-
-def disk_classes(base, q):
-    """2D circle classes of the skeleton disks, via s = R psi."""
-    sk = skeleton_from_base(base, q)
-    return [circle_class(h.psi) for h in sk.handles]
 
 
 def base_viewport(base):

@@ -274,28 +274,19 @@ def unimodular_inverse(M):
 
 
 @dataclass(frozen=True)
-class Point:
-    coords: tuple
-
-
-@dataclass(frozen=True)
 class AffineSubspace:
-    """A nonempty positive-dimensional solution set: point + span(basis)."""
+    """The solution set point + span(basis) of a consistent system;
+    basis is () when the solution is unique."""
     point: tuple
     basis: tuple
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    """An inconsistent system: no solution."""
 
 
 def solve_rational(A, b):
     """Solve A x = b exactly over Q.
 
-    Returns a Point for a unique solution, an AffineSubspace (canonical
-    point with all free variables zero, plus a basis of the homogeneous
-    solutions) when underdetermined, or Infeasible.  One fraction-free
+    Returns the AffineSubspace of all solutions (canonical point with
+    every free variable zero, plus a basis of the homogeneous solutions),
+    or None when the system is inconsistent.  One fraction-free
     elimination over Z (_rref), then one Fraction per output entry.
     """
     m = len(A)
@@ -305,15 +296,14 @@ def solve_rational(A, b):
     aug, pivots, d = _rref([list(row) + [b[i]] for i, row in enumerate(A)], n)
     r = len(pivots)
     if any(aug[i][n] != 0 for i in range(r, m)):
-        return Infeasible()
-    free = [c for c in range(n) if c not in pivots]
+        return None
     point = [Fraction(0)] * n
     for i, c in enumerate(pivots):
         point[c] = Fraction(aug[i][n], d)
-    if not free:
-        return Point(tuple(point))
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         dirv = [Fraction(0)] * n
         dirv[fc] = Fraction(1)
         for i, c in enumerate(pivots):

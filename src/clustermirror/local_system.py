@@ -74,15 +74,20 @@ def _commute(A, B):
 
 @dataclass(frozen=True)
 class LocalSystem:
-    n: int
-    rank: int
-    holonomies: tuple    # n matrices, rank x rank, Fraction entries
+    holonomies: tuple    # one rank x rank matrix per torus loop, Fraction entries
+
+    @property
+    def n(self):
+        return len(self.holonomies)
+
+    @property
+    def rank(self):
+        return len(self.holonomies[0]) if self.holonomies else 0
 
     def __post_init__(self):
-        if len(self.holonomies) != self.n:
-            raise LocalSystemError("need one holonomy per torus loop")
+        rank = self.rank
         for A in self.holonomies:
-            if len(A) != self.rank or any(len(row) != self.rank for row in A):
+            if len(A) != rank or any(len(row) != rank for row in A):
                 raise LocalSystemError("holonomy has wrong shape")
         # A = N / q is invertible iff N is, and N / q, M / p commute iff
         # N, M do: both checks run over Z
@@ -97,14 +102,7 @@ class LocalSystem:
 
 
 def local_system(holonomies):
-    hol = tuple(_to_frac_mat(A) for A in holonomies)
-    rank = len(hol[0]) if hol else 0
-    return LocalSystem(len(hol), rank, hol)
-
-
-def rank_one(values):
-    """Convenience: a rank-1 system from nonzero rationals."""
-    return local_system([((Fraction(v),),) for v in values])
+    return LocalSystem(tuple(_to_frac_mat(A) for A in holonomies))
 
 
 def _power_product(pairs, n):
@@ -146,11 +144,6 @@ def _frac_id_minus(A):
     return tuple(tuple((1 if i == j else 0) - A[i][j] for j in range(n)) for i in range(n))
 
 
-def is_mutable(ls, s):
-    E = holonomy_around(ls, s)
-    return det(_frac_id_minus(E)) != 0
-
-
 def canonical_transversal(s):
     """The canonical class t with <t, s> = -1, reduced against s.
 
@@ -189,59 +182,32 @@ def mutate_local_system(ls, s):
     t = canonical_transversal(s)
     adapted = (E_s, _power_product(((factor, 1),) + tuple(zip(ls.holonomies, t)),
                                    ls.rank))
-    return LocalSystem(2, ls.rank, new_hol), adapted
+    return LocalSystem(new_hol), adapted
 
 
-def symbolic_variables(n=2):
-    import sympy as sp
-    return sp.symbols("x1:%d" % (n + 1))
+def mutate_symbolic(holonomies, s):
+    """Rank-1 symbolic version of mutate_local_system: holonomies are two
+    nonzero sympy expressions, one per standard loop of the 2-torus.
 
-
-@dataclass(frozen=True)
-class SymbolicHolonomy:
-    """Rank-1 local system with rational-function holonomies."""
-    n: int
-    holonomies: tuple
-
-    def __post_init__(self):
-        import sympy as sp
-        for h in self.holonomies:
-            if sp.simplify(h) == 0:
-                raise LocalSystemError("holonomies must be nonzero")
-
-
-def symbolic_standard(n=2):
-    return SymbolicHolonomy(n, symbolic_variables(n))
-
-
-def symbolic_around(sh, c):
-    import sympy as sp
-    out = sp.Integer(1)
-    for h, e in zip(sh.holonomies, c):
-        out *= sp.Pow(h, e)
-    return sp.cancel(out)
-
-
-def mutate_symbolic(sh, s):
-    """Rank-1 symbolic version of mutate_local_system.
-
-    Returns (mutated SymbolicHolonomy, adapted pair of rational
+    Returns (the two mutated holonomies, adapted pair of rational
     functions).  Raises NotMutable if 1 - E_s vanishes identically."""
     import sympy as sp
-    if sh.n != 2:
+    if len(holonomies) != 2:
         raise LocalSystemError("mutation implemented on the 2-torus only")
-    E_s = symbolic_around(sh, s)
+
+    def around(c):
+        out = sp.Integer(1)
+        for h, e in zip(holonomies, c):
+            out *= sp.Pow(h, e)
+        return sp.cancel(out)
+    E_s = around(s)
     factor = sp.cancel(1 - E_s)
     if factor == 0:
         raise NotMutable(s, 0)
-    new_hol = []
-    for c in ((1, 0), (0, 1)):
-        m = intersection_number(c, s)
-        twisted = dehn_twist(c, s)
-        new_hol.append(sp.cancel(factor ** (-m) * symbolic_around(sh, twisted)))
-    t = canonical_transversal(s)
-    adapted = (E_s, sp.cancel(factor * symbolic_around(sh, t)))
-    return SymbolicHolonomy(2, tuple(new_hol)), adapted
+    # E'_c = (1 - E_s)^(-<c,s>) E_{tau_s(c)}, as in mutate_local_system
+    new_hol = tuple(sp.cancel(factor ** -intersection_number(c, s) * around(dehn_twist(c, s)))
+                    for c in ((1, 0), (0, 1)))
+    return new_hol, (E_s, sp.cancel(factor * around(canonical_transversal(s))))
 
 
 def _monomial(exps):

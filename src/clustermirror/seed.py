@@ -171,14 +171,19 @@ DEFAULT_BUDGET = 10000
 
 
 def node_budget():
+    """The node budget of exchange_graph: CLUSTERMIRROR_BUDGET if set,
+    else DEFAULT_BUDGET."""
     raw = os.environ.get("CLUSTERMIRROR_BUDGET", "")
     try:
-        return int(raw) if raw else DEFAULT_BUDGET
+        budget = int(raw) if raw else DEFAULT_BUDGET
     except ValueError:
-        raise SeedError("CLUSTERMIRROR_BUDGET must be an integer")
+        budget = 0    # not an integer: rejected with the same message
+    if budget < 1:
+        raise SeedError("CLUSTERMIRROR_BUDGET must be a positive integer")
+    return budget
 
 
-def exchange_graph(s, depth, max_nodes=None):
+def exchange_graph(s, depth):
     """Breadth-first exchange graph out to the given mutation depth.
 
     Nodes are seeds up to unfrozen permutation; edges are labeled by the
@@ -191,12 +196,11 @@ def exchange_graph(s, depth, max_nodes=None):
     text is one balanced JSON list, so neither of two such texts is a
     prefix of the other, and they compare as the whole texts do.  If the
     node budget is exceeded the graph is returned partial with
-    truncated=True.
+    truncated=True; node_budget() sets the budget.
     """
     if depth < 0:
         raise SeedError("depth must be nonnegative")
-    if max_nodes is None:
-        max_nodes = node_budget()
+    budget = node_budget()
     nodes = []            # seeds in discovery order
     index = {}            # canonical key -> node id
     edges = set()
@@ -226,7 +230,7 @@ def exchange_graph(s, depth, max_nodes=None):
             if ckey in index:
                 edges.add((src, index[ckey], k))
                 continue
-            if len(nodes) >= max_nodes:
+            if len(nodes) >= budget:
                 truncated = True
                 continue
             cid = len(nodes)

@@ -60,11 +60,9 @@ def _monomial(chi):
     return "y^%s" % (str(tuple(chi)).replace(" ", ""),)
 
 
-def local_presentation(s, i):
-    """Relation record for the chart at ray i: x x' = y^chi + 1."""
-    if not (0 <= i < s.r):
-        raise SeedError("presentation index must name an unfrozen ray")
-    chi = blowup_characters(s)[i]
+def local_presentation(chi, i):
+    """Relation record for the chart at ray i with blowup character chi:
+    x x' = y^chi + 1."""
     degenerate = all(c == 0 for c in chi)
     mono = _monomial(chi)
     relation = "x%d*x%d' = %s" % (i + 1, i + 1, "2" if degenerate else mono + " + 1")
@@ -82,7 +80,7 @@ def toric_model(s):
         "{chi_%d = -1} in D_%d, chi_%d = %s" % (i + 1, i + 1, i + 1, str(tuple(c)))
         for i, c in enumerate(chi)
     )
-    pres = tuple(local_presentation(s, i) for i in range(s.r))
+    pres = tuple(local_presentation(c, i) for i, c in enumerate(chi))
     return ToricModel(fan, chi, loci, pres)
 
 

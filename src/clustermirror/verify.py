@@ -8,6 +8,7 @@ around run_suites.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .lattice import (bezout_complete, det, mat_inv, mat_mul, rational_strings,
                       transpose, unimodular_inverse)
@@ -54,8 +55,7 @@ def random_seed_corpus(rng):
                 B[i][j] = rng.randrange(-2, 3)
                 B[j][i] = -B[i][j]
         d = tuple(rng.randrange(1, 4) for _ in range(n))
-        psi_rows = _random_unimodular(rng, n, steps=3)
-        psi = tuple(tuple(psi_rows[i][k] for i in range(n)) for k in range(n))
+        psi = transpose(_random_unimodular(rng, n, steps=3))
         s = Seed(n, r, psi, tuple(tuple(row) for row in B), d)
         eps = exchange_matrix(s).eps
         if all(abs(x) <= 4 for row in eps for x in row):
@@ -69,13 +69,10 @@ def random_2d_standard_seed(rng):
     psi^T B psi' = det[psi psi'], i.e. B equal to the standard
     positively-oriented symplectic matrix with all d = 1; the psi basis
     is free."""
-    psi_rows = _random_unimodular(rng, 2, steps=5)
-    psi = tuple(tuple(psi_rows[i][k] for i in range(2)) for k in range(2))
-    return Seed(2, 2, psi, STANDARD_B, (1, 1))
+    return Seed(2, 2, transpose(_random_unimodular(rng, 2, steps=5)), STANDARD_B, (1, 1))
 
 
 def random_primitive(rng, bound=9):
-    from math import gcd
     while True:
         a = rng.randrange(-bound, bound + 1)
         b = rng.randrange(-bound, bound + 1)

@@ -21,13 +21,13 @@ import pytest
 from clustermirror.lattice import transpose
 from clustermirror.seed import (Seed, exchange_matrix, matrix_mutation_oracle,
                                 mutate, mutate_sequence, seed_equivalent)
-from clustermirror.skeleton import bondal_strata
+from clustermirror.skeleton import bondal_strata, circle_class
 from clustermirror.syz_base import monodromy_matrix
 from clustermirror.toric_model import StackyFan1D
-from clustermirror.local_system import NotMutable, mutate_local_system, rank_one
+from clustermirror.local_system import NotMutable, local_system, mutate_local_system
 from clustermirror.almost_toric import (MomentPolytope, NodalTrade,
                                         apply_trades, common_basepoint,
-                                        disk_classes, render_svg,
+                                        render_svg, skeleton_from_base,
                                         smoothness_check)
 from clustermirror.syz_base import base_from_fan, render_svg as render_syz
 from clustermirror.toric_model import fan_from_seed
@@ -137,8 +137,8 @@ def test_criterion_6_bondal_strata():
 def test_criterion_7_local_system_rule():
     t0 = time.perf_counter()
     with pytest.raises(NotMutable):
-        mutate_local_system(rank_one([1, 7]), (1, 0))
-    _, adapted = mutate_local_system(rank_one([Fraction(5, 2), 3]), (1, 0))
+        mutate_local_system(local_system([((1,),), ((7,),)]), (1, 0))
+    _, adapted = mutate_local_system(local_system([((Fraction(5, 2),),), ((3,),)]), (1, 0))
     fixture_ok = adapted == (((Fraction(5, 2),),),
                              ((Fraction(1 - Fraction(5, 2)) * 3,),))
     rng = random.Random(7077)
@@ -159,7 +159,7 @@ def test_criterion_8_nodal_trade_pipeline():
     base = apply_trades(poly, (NodalTrade(0), NodalTrade(1)))
     smooth = smoothness_check(base)
     q, sub = common_basepoint(base)
-    classes = disk_classes(base, q)
+    classes = [circle_class(h.psi) for h in skeleton_from_base(base, q).handles]
     dt = time.perf_counter() - t0
     unsigned = {frozenset((c, tuple(-x for x in c))) for c in classes}
     want = {frozenset(((1, 0), (-1, 0))), frozenset(((0, 1), (0, -1)))}

@@ -68,6 +68,24 @@ def test_budget_truncates(tmp_path, monkeypatch):
     assert doc["truncated"] and len(doc["nodes"]) == 7
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_below_one_exit_2(tmp_path, monkeypatch, capsys, budget):
+    monkeypatch.setenv("CLUSTERMIRROR_BUDGET", budget)
+    g = tmp_path / "g.json"
+    assert run(["seed", "graph", "--seed", str(FIXTURES / "a2_seed.json"),
+                "--depth", "2", "--out", str(g)]) == 2
+    assert "CLUSTERMIRROR_BUDGET" in capsys.readouterr().err
+    assert not g.exists()
+
+
+@pytest.mark.parametrize("seed", ["a2", "rank4_frozen"])
+def test_seed_model_golden(tmp_path, seed):
+    out = tmp_path / "model.json"
+    assert run(["seed", "model", "--seed", str(FIXTURES / (seed + "_seed.json")),
+                "--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / (seed + "_model.json")).read_bytes()
+
+
 def test_base_syz_deterministic(tmp_path):
     outs = []
     for name in ("one.svg", "two.svg"):

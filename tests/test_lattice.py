@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clustermirror.lattice import (AffineSubspace, Infeasible, Point, det,
+from clustermirror.lattice import (AffineSubspace, det,
                                    ext_gcd, feasible, identity, is_primitive, mat_inv,
                                    mat_mul, primitive_part, solve_rational,
                                    unimodular_inverse)
@@ -37,10 +37,11 @@ def test_det_examples():
 
 
 def test_solve_examples():
-    assert solve_rational([[1, 0], [0, 1]], [1, 1]) == Point((Fraction(1), Fraction(1)))
-    assert isinstance(solve_rational([[1, 0], [1, 0]], [0, 1]), Infeasible)
+    assert solve_rational([[1, 0], [0, 1]], [1, 1]) \
+        == AffineSubspace((Fraction(1), Fraction(1)), ())
+    assert solve_rational([[1, 0], [1, 0]], [0, 1]) is None
     # no equation is named: after row swaps an index would name the wrong one
-    assert solve_rational([[1, 0], [1, 0], [0, 1]], [2, 3, 1]) == Infeasible()
+    assert solve_rational([[1, 0], [1, 0], [0, 1]], [2, 3, 1]) is None
     sol = solve_rational([[1, 1]], [2])
     assert isinstance(sol, AffineSubspace)
     assert len(sol.basis) == 1
@@ -72,15 +73,13 @@ def test_feasible_examples():
 def test_solve_satisfies_equations(rows, b):
     b = b[:len(rows)]
     sol = solve_rational(rows, b)
-    if isinstance(sol, Infeasible):
+    if sol is None:
         return
-    pt = sol.coords if isinstance(sol, Point) else sol.point
     for row, rhs in zip(rows, b):
-        assert sum(Fraction(c) * x for c, x in zip(row, pt)) == rhs
-    if isinstance(sol, AffineSubspace):
-        for d in sol.basis:
-            for row in rows:
-                assert sum(Fraction(c) * x for c, x in zip(row, d)) == 0
+        assert sum(Fraction(c) * x for c, x in zip(row, sol.point)) == rhs
+    for d in sol.basis:
+        for row in rows:
+            assert sum(Fraction(c) * x for c, x in zip(row, d)) == 0
 
 
 def ray_components(v, d=1):
@@ -196,13 +195,11 @@ def _oracle_solve(A, b):
     n = len(A[0])
     aug, pivots = _oracle_rref([list(row) + [rhs] for row, rhs in zip(A, b)], n)
     if any(row[n] != 0 for row in aug[len(pivots):]):
-        return Infeasible()
+        return None
     point = [Fraction(0)] * n
     for i, c in enumerate(pivots):
         point[c] = aug[i][n]
     free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return Point(tuple(point))
     basis = []
     for fc in free:
         dirv = [Fraction(0)] * n
@@ -240,7 +237,7 @@ def rational_systems(draw):
 def _shape_and_types(x):
     if isinstance(x, (tuple, list)):
         return [_shape_and_types(y) for y in x]
-    if isinstance(x, (Point, AffineSubspace, Infeasible)):
+    if isinstance(x, AffineSubspace):
         return (type(x), [_shape_and_types(getattr(x, f)) for f in x.__dataclass_fields__])
     return type(x)
 

@@ -13,9 +13,8 @@ from clustermirror.local_system import (LocalSystemError, NotMutable,
                                         SIGN_TWIST, _transition_text,
                                         canonical_transversal,
                                         chart_transition, holonomy_around,
-                                        is_mutable, local_system,
-                                        mutate_local_system, mutate_symbolic,
-                                        rank_one, symbolic_standard)
+                                        local_system, mutate_local_system,
+                                        mutate_symbolic)
 from clustermirror.seed import Seed
 from clustermirror.verify import (coherence_law_holds, _random_commuting_pair,
                                   random_primitive)
@@ -25,8 +24,14 @@ A2 = Seed(2, 2, ((1, 0), (0, 1)), ((0, 1), (-1, 0)), (1, 1))
 x1, x2 = sp.symbols("x1 x2")
 
 
+def _mutable(ls, s):
+    """det(I - E_s) != 0: the holonomy around s has no eigenvalue 1."""
+    E = holonomy_around(ls, s)
+    return det([[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(E)]) != 0
+
+
 def test_holonomy_around():
-    ls = rank_one([2, 3])
+    ls = local_system([((2,),), ((3,),)])
     assert holonomy_around(ls, (1, 1)) == ((Fraction(6),),)
     assert holonomy_around(ls, (0, 0)) == ((Fraction(1),),)
     diag = local_system([((2, 0), (0, 3)), ((5, 0), (0, 7))])
@@ -102,10 +107,12 @@ def test_mixed_sign_holonomy_matches_repeated_multiplication(hol, exps):
 
 
 def test_is_mutable():
-    assert not is_mutable(rank_one([1, 5]), (1, 0))
-    assert is_mutable(rank_one([2, 5]), (1, 0))
+    assert _mutable(local_system([((2,),), ((5,),)]), (1, 0))
     withone = local_system([((1, 0), (0, 2)), ((3, 0), (0, 4))])
-    assert not is_mutable(withone, (1, 0))
+    for ls in (local_system([((1,),), ((5,),)]), withone):
+        assert not _mutable(ls, (1, 0))
+        with pytest.raises(NotMutable):
+            mutate_local_system(ls, (1, 0))
 
 
 def test_canonical_transversal():
@@ -117,7 +124,7 @@ def test_canonical_transversal():
 
 
 def test_mutation_adapted_fixture():
-    ls = rank_one([2, 3])
+    ls = local_system([((2,),), ((3,),)])
     out, adapted = mutate_local_system(ls, (1, 0))
     # adapted pair is (a, (1-a) b)
     assert adapted == (((Fraction(2),),), ((Fraction(-3),),))
@@ -126,7 +133,7 @@ def test_mutation_adapted_fixture():
 
 def test_mutation_rejects_eigenvalue_one():
     with pytest.raises(NotMutable):
-        mutate_local_system(rank_one([1, 3]), (1, 0))
+        mutate_local_system(local_system([((1,),), ((3,),)]), (1, 0))
 
 
 def test_unaffected_loop_invariance():
@@ -135,7 +142,7 @@ def test_unaffected_loop_invariance():
         s = random_primitive(rng, 3)
         A, B = _random_commuting_pair(rng)
         ls = local_system([A, B])
-        if not is_mutable(ls, s):
+        if not _mutable(ls, s):
             continue
         out, _ = mutate_local_system(ls, s)
         assert holonomy_around(out, s) == holonomy_around(ls, s)
@@ -147,7 +154,7 @@ def test_outputs_commute_and_invert():
         A, B = _random_commuting_pair(rng)
         ls = local_system([A, B])
         s = random_primitive(rng, 2)
-        if not is_mutable(ls, s):
+        if not _mutable(ls, s):
             continue
         out, _ = mutate_local_system(ls, s)
         # constructor re-checks commutativity and invertibility
@@ -155,10 +162,10 @@ def test_outputs_commute_and_invert():
 
 
 def test_double_mutation_law_rank1():
-    assert coherence_law_holds(rank_one([2, 3]), (1, 0)) is True
-    assert coherence_law_holds(rank_one([5, Fraction(1, 2)]), (1, 1)) is True
+    assert coherence_law_holds(local_system([((2,),), ((3,),)]), (1, 0)) is True
+    assert coherence_law_holds(local_system([((5,),), ((Fraction(1, 2),),)]), (1, 1)) is True
     # holonomy 1 around s: the first mutation is undefined
-    assert coherence_law_holds(rank_one([1, 5]), (1, 0)) is None
+    assert coherence_law_holds(local_system([((1,),), ((5,),)]), (1, 0)) is None
 
 
 def test_double_mutation_coherence_randomized():
@@ -174,8 +181,8 @@ def test_double_mutation_coherence_randomized():
             b = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
             if a == 0 or b == 0:
                 continue
-            ls = rank_one([a, b])
-        if not is_mutable(ls, s):
+            ls = local_system([((a,),), ((b,),)])
+        if not _mutable(ls, s):
             continue
         res = coherence_law_holds(ls, s)
         if res is None:
@@ -195,17 +202,24 @@ def test_symbolic_double_mutation_fixtures():
         (3, -2): (x2 ** 4 / x1 ** 5, -x2 ** 7 / x1 ** 9),
     }
     for s, expect in cases.items():
-        sh = symbolic_standard(2)
-        once, _ = mutate_symbolic(sh, s)
+        once, _ = mutate_symbolic((x1, x2), s)
         twice, _ = mutate_symbolic(once, (-s[0], -s[1]))
-        for got, want in zip(twice.holonomies, expect):
+        for got, want in zip(twice, expect):
             assert sp.cancel(got - want) == 0
 
 
 def test_symbolic_adapted_fixture():
-    once, adapted = mutate_symbolic(symbolic_standard(2), (1, 0))
+    once, adapted = mutate_symbolic((x1, x2), (1, 0))
     assert sp.cancel(adapted[0] - x1) == 0
     assert sp.cancel(adapted[1] - (1 - x1) * x2) == 0
+
+
+def test_symbolic_rejects_vanishing_factor():
+    # E_s is identically 1, so 1 - E_s vanishes: (1, x2) around (1, 0),
+    # and (x2, 1/x2) around (1, 1) once the product cancels
+    for holonomies, s in (((1, x2), (1, 0)), ((x2, 1 / x2), (1, 1))):
+        with pytest.raises(NotMutable):
+            mutate_symbolic(holonomies, s)
 
 
 def test_chart_transition_a2():
@@ -233,8 +247,8 @@ def test_chart_transition_frozen_table():
 @pytest.mark.parametrize("s", [(1, 0), (0, -1), (2, 1), (-1, 3), (3, -5),
                                (-4, -7), (5, 2), (1, -9)])
 def test_chart_transition_matches_symbolic_mutation(s):
-    once, _ = mutate_symbolic(symbolic_standard(2), s)
-    for c, want in zip(((1, 0), (0, 1)), once.holonomies):
+    once, _ = mutate_symbolic((x1, x2), s)
+    for c, want in zip(((1, 0), (0, 1)), once):
         assert sp.cancel(sp.sympify(_transition_text(c, s)) - want) == 0
 
 

@@ -156,11 +156,12 @@ def test_graph_golden_output(tmp_path, monkeypatch, seed, depth, budget, golden)
     assert out.read_bytes() == (FIXTURES / golden).read_bytes()
 
 
-def test_graph_deterministic_and_budget():
+def test_graph_deterministic_and_budget(monkeypatch):
     g1 = exchange_graph(A2, 4)
     g2 = exchange_graph(A2, 4)
     assert g1 == g2
-    small = exchange_graph(A2, 6, max_nodes=10)
+    monkeypatch.setenv("CLUSTERMIRROR_BUDGET", "10")
+    small = exchange_graph(A2, 6)
     assert small["truncated"]
     assert len(small["nodes"]) == 10
 

@@ -4,8 +4,7 @@ import pytest
 
 from clustermirror.seed import Seed, SeedError, mutate
 from clustermirror.toric_model import (blowup_characters, fan_from_seed,
-                                       local_presentation, model_to_json,
-                                       toric_model)
+                                       model_to_json, toric_model)
 from clustermirror.verify import random_seed_corpus
 
 A2 = Seed(2, 2, ((1, 0), (0, 1)), ((0, 1), (-1, 0)), (1, 1))
@@ -45,11 +44,11 @@ def test_chi_annihilates_psi_randomized():
 
 
 def test_local_presentation():
-    rec = local_presentation(A2, 0)
+    rec = toric_model(A2).presentations[0]
     assert rec["relation"] == "x1*x1' = y^(0,1) + 1"
     assert not rec["degenerate"]
     z = Seed(2, 2, ((1, 0), (0, 1)), ((0, 0), (0, 0)), (1, 1))
-    zrec = local_presentation(z, 0)
+    zrec = toric_model(z).presentations[0]
     assert zrec["degenerate"] and zrec["relation"].endswith("= 2")
 
 
