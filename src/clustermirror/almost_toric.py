@@ -23,7 +23,7 @@ B-side monodromy of the eigen direction.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (as_int, as_rational, feasible, ints, is_unimodular, malformed,
+from .lattice import (as_int, as_rational, feasible, ints, malformed,
                       mat_mul, mat_vec, primitive_part, rational_strings, rationals,
                       solve_rational, transpose, unimodular_inverse, vec_add, vec_neg,
                       vec_sub)
@@ -170,10 +170,11 @@ def _trade_chart(poly, trade):
     model corner y_0 = y_1 = 0.
 
     An omitted chart is derived at a smooth 2D corner; above dimension 2
-    it must be given.  An explicit chart must be unimodular n x n, and
-    above dimension 2 rows 0 and 1 of M must be the normals of the target
-    facets, in order, with p on both.  Explicit 2D charts are not checked
-    against the corner: verify.suite_duality trades at the quadrant's
+    it must be given.  An explicit chart must be n x n, and above
+    dimension 2 rows 0 and 1 of M must be the normals of the target
+    facets, in order, with p on both.  _trade_singularity, which inverts
+    M, rejects a chart that is not unimodular.  Explicit 2D charts are not
+    checked against the corner: verify.suite_duality trades at the quadrant's
     corner with off-corner charts (shear . A^{-1}) to test how the
     recorded monodromy transforms."""
     n = poly.dimension
@@ -185,8 +186,6 @@ def _trade_chart(poly, trade):
     if len(M) != n or any(len(row) != n for row in M) or len(p) != n:
         raise AlmostToricError(
             "chart needs a %dx%d matrix and a translation of length %d" % (n, n, n))
-    if not is_unimodular(M):
-        raise AlmostToricError("chart matrix must be unimodular")
     M, p = tuple(tuple(row) for row in M), tuple(p)
     if n > 2:
         # a chart off the target facets would put the position at a
@@ -211,7 +210,10 @@ def _trade_singularity(poly, trade):
     chart = _trade_chart(poly, trade)
     M, p = chart
     t = Fraction(trade.t)
-    Minv = unimodular_inverse(M)
+    try:
+        Minv = unimodular_inverse(M)
+    except ValueError:
+        raise AlmostToricError("chart matrix must be unimodular")
     pos = vec_add(mat_vec(Minv, (t, t) + (0,) * (len(M) - 2)), p)
     eigen = primitive_part(tuple(row[0] + row[1] for row in Minv))
     mono = (mat_mul(mat_mul(transpose(M), FOCUS_FOCUS), transpose(Minv))
@@ -352,10 +354,7 @@ def skeleton_from_base(base, q):
         if comp == 0:
             raise AlmostToricError("basepoint sits on the singular locus of trade %d" % idx)
         psi = sing.eigen if comp > 0 else vec_neg(sing.eigen)
-        chi = primitive_part(nrm)
-        if sum(a * b for a, b in zip(psi, chi)) != 0:
-            raise AssertionError("eigen normal fails to annihilate the disk direction")
-        handles.append(Handle(psi, chi, 1))
+        handles.append(Handle(psi, primitive_part(nrm), 1))
     return Skeleton(base.polytope.dimension, tuple(handles))
 
 

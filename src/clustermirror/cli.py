@@ -3,9 +3,10 @@
 Subcommands: seed mutate|graph|model, base syz|trade,
 skeleton build|surgery, locsys mutate|transition, verify.
 
-Exit codes: 0 success, 1 invariant failure, 2 input validation,
-3 infeasibility.  All randomized suites require an explicit PRNG seed
-and identical inputs always produce byte-identical outputs.
+Exit codes: 0 success, 1 invariant failure, 2 input validation or an
+unwritable output path, 3 infeasibility.  All randomized suites require
+an explicit PRNG seed and identical inputs always produce byte-identical
+outputs.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from .lattice import rational_strings, rationals
 from .seed import deserialize_seed, exchange_graph, mutate_sequence, serialize_seed
 from .toric_model import fan_from_seed, model_to_json, toric_model
-from .syz_base import (CHARACTER, COCHARACTER, base_from_fan, base_to_json,
+from .syz_base import (CHARACTER, COCHARACTER, VIEWPORT, base_from_fan, base_to_json,
                        render_svg as render_syz_svg, toggle_convention)
 from .skeleton import disk_surgery, skeleton_from_json, skeleton_from_seed, skeleton_to_json
 from .local_system import (NotMutable, chart_transition, deserialize_local_system,
@@ -48,9 +49,12 @@ def _load_json(path):
 def _write(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as e:
+        raise ValueError("cannot write %s: %s" % (path, e))
 
 
 def _dump_json(doc):
@@ -166,7 +170,7 @@ def cmd_base_syz(args):
     fan = fan_from_seed(deserialize_seed(_load_json(args.seed)))
     radii = rationals(args.radii.split(",")) if args.radii else None
     base = base_from_fan(fan, radii)
-    viewport = (-3, -3, 3, 3)
+    viewport = VIEWPORT
     if args.viewport:
         viewport = rationals(args.viewport.split(","))
         if (len(viewport) != 4 or viewport[0] >= viewport[2]
@@ -225,77 +229,65 @@ def cmd_verify(args):
     reports = run_suites(names, args.prng, args.cases)
     all_ok = all(r["passed"] for r in reports)
     doc = {"prng": args.prng, "suites": reports, "passed": all_ok}
-    if args.report:
-        _write(args.report, _dump_json(doc))
+    path = args.report or (None if all_ok else "verify-counterexamples.json")
+    if path:
+        _write(path, _dump_json(doc))
     for r in reports:
         sys.stdout.write("%-12s %s (%d cases)\n"
                          % (r["suite"], "pass" if r["passed"] else "FAIL", r["cases"]))
     if not all_ok:
-        path = args.report or "verify-counterexamples.json"
-        if not args.report:
-            _write(path, _dump_json(doc))
         sys.stdout.write("counterexamples written to %s\n" % path)
         return EXIT_INVARIANT
 
 
 def build_parser():
+    # --out and --seed are declared once and shared as argparse parents
+    out_opt = argparse.ArgumentParser(add_help=False)
+    out_opt.add_argument("--out", default=None)
+    seed_opt = argparse.ArgumentParser(add_help=False)
+    seed_opt.add_argument("--seed", required=True)
+    out, seed_out = [out_opt], [seed_opt, out_opt]
+
     p = argparse.ArgumentParser(prog="clustermirror")
     sub = p.add_subparsers(dest="group", required=True)
 
     seed = sub.add_parser("seed").add_subparsers(dest="cmd", required=True)
-    sm = seed.add_parser("mutate")
-    sm.add_argument("--seed", required=True)
+    sm = seed.add_parser("mutate", parents=seed_out)
     sm.add_argument("--sequence", required=True)
-    sm.add_argument("--out", default=None)
     sm.set_defaults(fn=cmd_seed_mutate)
-    sg = seed.add_parser("graph")
-    sg.add_argument("--seed", required=True)
+    sg = seed.add_parser("graph", parents=seed_out)
     sg.add_argument("--depth", type=int, required=True)
-    sg.add_argument("--out", default=None)
     sg.set_defaults(fn=cmd_seed_graph)
-    sd = seed.add_parser("model")
-    sd.add_argument("--seed", required=True)
-    sd.add_argument("--out", default=None)
-    sd.set_defaults(fn=cmd_seed_model)
+    seed.add_parser("model", parents=seed_out).set_defaults(fn=cmd_seed_model)
 
     base = sub.add_parser("base").add_subparsers(dest="cmd", required=True)
-    bs = base.add_parser("syz")
-    bs.add_argument("--seed", required=True)
-    bs.add_argument("--out", default=None)
+    bs = base.add_parser("syz", parents=seed_out)
     bs.add_argument("--json", default=None)
     bs.add_argument("--radii", default=None)
     bs.add_argument("--viewport", default=None)
     bs.add_argument("--convention", choices=[CHARACTER, COCHARACTER], default=CHARACTER)
     bs.set_defaults(fn=cmd_base_syz)
-    bt = base.add_parser("trade")
+    bt = base.add_parser("trade", parents=out)
     bt.add_argument("--polytope", required=True)
     bt.add_argument("--trades", required=True)
-    bt.add_argument("--out", default=None)
     bt.add_argument("--json", default=None)
     bt.add_argument("--skeleton", action="store_true")
     bt.set_defaults(fn=cmd_base_trade)
 
     sk = sub.add_parser("skeleton").add_subparsers(dest="cmd", required=True)
-    sb = sk.add_parser("build")
-    sb.add_argument("--seed", required=True)
-    sb.add_argument("--out", default=None)
-    sb.set_defaults(fn=cmd_skeleton_build)
-    ss = sk.add_parser("surgery")
+    sk.add_parser("build", parents=seed_out).set_defaults(fn=cmd_skeleton_build)
+    ss = sk.add_parser("surgery", parents=out)
     ss.add_argument("--skeleton", required=True)
     ss.add_argument("--handle", type=int, required=True)
-    ss.add_argument("--out", default=None)
     ss.set_defaults(fn=cmd_skeleton_surgery)
 
     lo = sub.add_parser("locsys").add_subparsers(dest="cmd", required=True)
-    lm = lo.add_parser("mutate")
+    lm = lo.add_parser("mutate", parents=out)
     lm.add_argument("--locsys", required=True)
     lm.add_argument("--handle-class", required=True)
-    lm.add_argument("--out", default=None)
     lm.set_defaults(fn=cmd_locsys_mutate)
-    lt = lo.add_parser("transition")
-    lt.add_argument("--seed", required=True)
+    lt = lo.add_parser("transition", parents=seed_out)
     lt.add_argument("--k", type=int, required=True)
-    lt.add_argument("--out", default=None)
     lt.set_defaults(fn=cmd_locsys_transition)
 
     v = sub.add_parser("verify")

@@ -69,10 +69,7 @@ def is_primitive(v):
 
 def content(v):
     """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for a in v:
-        g = gcd(g, a)
-    return g
+    return gcd(*v)
 
 
 def primitive_part(v):

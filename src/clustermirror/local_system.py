@@ -40,7 +40,7 @@ from math import floor, lcm
 
 from .lattice import (as_int, bezout_complete, content, det, identity, malformed,
                       mat_inv, mat_mul, rationals, rational_strings)
-from .skeleton import circle_class, dehn_twist, intersection_number
+from .skeleton import circle_class, dehn_twist, intersection_number, skeleton_from_seed
 
 SIGN_TWIST = -1
 
@@ -273,7 +273,6 @@ def chart_transition(s_seed, k):
 
     Returns the two functions as text in x1, x2, computed in closed form
     and written with the bytes of sympy's str(cancel(...))."""
-    from .skeleton import skeleton_from_seed
     if s_seed.n != 2:
         raise LocalSystemError("chart transitions are rank-2 only")
     if any(di != 1 for di in s_seed.d):

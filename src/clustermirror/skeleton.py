@@ -131,11 +131,9 @@ def disk_surgery(sk, k):
             new_s = dehn_twist(sk_classes[j], s_k)
         else:
             new_s = sk_classes[j]
-        psi = character_of_circle(new_s)
         # the disk cocharacter in rank 2 is determined up to sign by
-        # orthogonality; keep the convention chi = R psi
-        chi = circle_class(psi)
-        new_handles.append(Handle(psi, chi, h.d))
+        # orthogonality; keep the convention chi = R psi = s
+        new_handles.append(Handle(character_of_circle(new_s), new_s, h.d))
     return Skeleton(sk.n, tuple(new_handles))
 
 

@@ -16,18 +16,20 @@ choice
 
     A . [[1,1],[0,1]]^sigma . A^{-1} = M(psi),  sigma = -1,
 
-for any A in SL(2,Z) with A e1 = psi, such as bezout_complete(psi); the
-sign sigma is a single global constant (CONJUGATION_SIGN below) and
+for any A in SL(2,Z) with A e1 = psi, such as lattice.bezout_complete(psi);
+the sign sigma is a single global constant (CONJUGATION_SIGN below) and
 tests assert it never varies.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import bezout_complete, is_primitive, rational_strings, transpose
+from .lattice import is_primitive, rational_strings, transpose
 from .svg import SvgCanvas
 
 CONJUGATION_SIGN = -1
+
+VIEWPORT = (-3, -3, 3, 3)
 
 CHARACTER = "character"
 COCHARACTER = "cocharacter"
@@ -74,8 +76,6 @@ def base_from_fan(fan, radii=None):
         rad = Fraction(rad)
         if rad <= 0:
             raise ValueError("radius must be positive")
-        if not is_primitive(psi):
-            raise ValueError("ray generator must be primitive")
         pos = (rad * psi[0], rad * psi[1])
         sings.append(AffineSingularity2D(pos, psi, monodromy_matrix(psi)))
     return IntegralAffineBase2D(tuple(sings), CHARACTER)
@@ -106,7 +106,7 @@ def base_to_json(base):
     }
 
 
-def render_svg(base, viewport=(-3, -3, 3, 3)):
+def render_svg(base, viewport=VIEWPORT):
     """Draw the base: grid, fan rays from the origin, branch cuts as
     dashed rays, singularities as red crosses."""
     cv = SvgCanvas(*viewport)

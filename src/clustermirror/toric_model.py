@@ -12,8 +12,6 @@ computation happens here: the loci and presentations are strings that
 
 from dataclasses import dataclass
 
-from .seed import SeedError
-
 
 @dataclass(frozen=True)
 class StackyFan1D:
@@ -30,28 +28,13 @@ class ToricModel:
 
 
 def fan_from_seed(s):
-    rays = tuple((s.psi[i], s.d[i]) for i in range(s.r))
-    seen = {}
-    for psi, d in rays:
-        if psi in seen:
-            raise SeedError("fan collision: two unfrozen vectors span the ray %r" % (psi,))
-        seen[psi] = d
-    return StackyFan1D(s.n, rays)
+    return StackyFan1D(s.n, tuple(zip(s.psi[:s.r], s.d[:s.r])))
 
 
 def blowup_characters(s):
     """chi_i = psi_i^T B as a covector, one per unfrozen ray."""
-    chis = []
-    for i in range(s.r):
-        chi = tuple(
-            sum(s.psi[i][a] * s.B[a][b] for a in range(s.n))
-            for b in range(s.n)
-        )
-        # forced by skewness; a failure means B got corrupted
-        if sum(c * p for c, p in zip(chi, s.psi[i])) != 0:
-            raise AssertionError("chi_i does not annihilate psi_i")
-        chis.append(chi)
-    return chis
+    return [tuple(sum(s.psi[i][a] * s.B[a][b] for a in range(s.n)) for b in range(s.n))
+            for i in range(s.r)]
 
 
 def _monomial(chi):

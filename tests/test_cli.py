@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from clustermirror import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
+A2 = str(FIXTURES / "a2_seed.json")
 
 
 def run(argv):
@@ -149,6 +150,22 @@ def test_skeleton_build_and_surgery(tmp_path):
     assert doc["handles"][0]["psi"] == [-1, 0]
     assert run(["skeleton", "surgery", "--skeleton", str(sk),
                 "--handle", "9", "--out", str(out)]) == 2
+
+
+A2_SKELETON = str(FIXTURES / "a2_skeleton.json")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["skeleton", "build", "--seed", A2], "a2_skeleton.json"),
+    (["skeleton", "surgery", "--skeleton", A2_SKELETON, "--handle", "1"],
+     "a2_skeleton_surgery1.json"),
+    # handle 1 meets handle 2 positively, so it takes the Dehn twist
+    (["skeleton", "surgery", "--skeleton", A2_SKELETON, "--handle", "2"],
+     "a2_skeleton_surgery2.json"),
+], ids=["build", "surgery-1", "surgery-2"])
+def test_skeleton_golden(capsys, argv, golden):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (FIXTURES / golden).read_text()
 
 
 def test_locsys_commands(tmp_path):
@@ -321,6 +338,18 @@ def test_trade_chart_shape_exit_2(tmp_path, capsys):
     assert "2x2 matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["seed", "mutate", "--seed", A2, "--sequence", "1", "--out", "{tmp}/no/x.json"],
+    ["base", "syz", "--seed", A2, "--out", "{tmp}"],
+    ["base", "syz", "--seed", A2, "--out", "{tmp}/b.svg", "--json", "{tmp}/no/b.json"],
+    ["verify", "--suite", "epsilon", "--prng", "1", "--cases", "2",
+     "--report", "{tmp}/no/r.json"],
+], ids=["out-missing-dir", "out-is-dir", "json", "report"])
+def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert "cannot write %s" % tmp_path in capsys.readouterr().err
+
+
 def test_base_syz_viewport_exit_2(tmp_path, capsys):
     for value in ("3,3,-3,-3", "-3,3,3,-3", "-3,-3,3"):
         assert run(["base", "syz", "--seed", str(FIXTURES / "a2_seed.json"),
@@ -391,6 +420,21 @@ CHART3 = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": ["0", "0",
     pytest.param(ORTHANT, {"trades": [{"target": 0, "chart": CHART3},
                                       {"target": [1, 2], "chart": CHART3}]},
                  [], "two distinct facet indices", id="3d-int-target"),
+    pytest.param(_fixture("quadrant_polytope.json"),
+                 {"trades": [{"target": 0, "chart": {"matrix": [[2, 0], [0, 1]],
+                                                     "translation": ["0", "0"]}}]},
+                 [], "chart matrix must be unimodular", id="2d-chart-det-2"),
+    pytest.param(_fixture("quadrant_polytope.json"),
+                 {"trades": [{"target": 0, "chart": {"matrix": [[1, 1], [1, 1]],
+                                                     "translation": ["0", "0"]}}]},
+                 [], "chart matrix must be unimodular", id="2d-chart-singular"),
+    # rows 0 and 1 are the normals of the target facets, but det M = -2
+    pytest.param({"dimension": 4, "facets": [{"normal": n, "rhs": "0"} for n in
+                                             ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])]},
+                 {"trades": [{"target": [0, 1], "chart": {
+                     "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]],
+                     "translation": ["0", "0", "0", "0"]}}]},
+                 [], "chart matrix must be unimodular", id="4d-chart-det-minus-2"),
 ])
 def test_document_shape_faults_exit_2(tmp_path, capsys, polytope, trades, flags, message):
     poly_path, trades_path = tmp_path / "poly.json", tmp_path / "trades.json"
@@ -477,7 +521,6 @@ def test_nd_base_trade_explicit_out_exit_2(tmp_path, capsys):
     assert not svg.exists()
 
 
-A2 = str(FIXTURES / "a2_seed.json")
 MIXED_CALLS = [
     (["seed", "graph", "--seed", A2], 2),                   # --depth missing
     (["seed", "mutate", "--seed", A2, "--sequence", "1,2"], 0),

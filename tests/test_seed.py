@@ -188,4 +188,6 @@ def test_invalid_seeds_rejected():
     with pytest.raises(SeedError):
         Seed(2, 2, ((1, 0), (2, 0)), ((0, 1), (-1, 0)), (1, 1))      # not a basis
     with pytest.raises(SeedError):
+        Seed(2, 2, ((1, 0), (1, 0)), ((0, 1), (-1, 0)), (1, 1))      # repeated vector
+    with pytest.raises(SeedError):
         Seed(2, 2, ((1, 0), (0, 1)), ((0, 1), (-1, 0)), (1, 0))      # bad d

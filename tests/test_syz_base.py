@@ -4,12 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from clustermirror.lattice import det, mat_inv, mat_mul, mat_vec, transpose
+from clustermirror.lattice import bezout_complete, det, mat_inv, mat_mul, mat_vec, transpose
 from clustermirror.seed import Seed
 from clustermirror.svg import grid_step
 from clustermirror.syz_base import (CHARACTER, COCHARACTER, base_from_fan,
-                                    bezout_complete, CONJUGATION_SIGN,
-                                    monodromy_matrix, render_svg,
+                                    CONJUGATION_SIGN, monodromy_matrix, render_svg,
                                     toggle_convention)
 from clustermirror.toric_model import StackyFan1D, fan_from_seed
 from clustermirror.verify import random_primitive

@@ -1,8 +1,6 @@
 import random
 
-import pytest
-
-from clustermirror.seed import Seed, SeedError, mutate
+from clustermirror.seed import Seed, mutate
 from clustermirror.toric_model import (blowup_characters, fan_from_seed,
                                        model_to_json, toric_model)
 from clustermirror.verify import random_seed_corpus
@@ -18,15 +16,16 @@ def test_fan_examples():
     assert fan_from_seed(frozen_only).rays == ()
 
 
-def test_fan_collision():
-    # mutating twice at the same index can reproduce a ray direction in
-    # a larger rank; here we just force a duplicate directly
-    class Fake:
-        n, r = 2, 2
-        psi = ((1, 0), (1, 0))
-        d = (1, 1)
-    with pytest.raises(SeedError):
-        fan_from_seed(Fake)
+def test_fan_rays_distinct_randomized():
+    # psi is a Z-basis, so no two rays coincide, before or after mutation
+    rng = random.Random(11)
+    for _ in range(100):
+        seeds = [random_seed_corpus(rng)]
+        for _ in range(5):
+            seeds.append(mutate(seeds[-1], rng.randrange(seeds[-1].r)))
+        for s in seeds:
+            rays = [psi for psi, _d in fan_from_seed(s).rays]
+            assert len(set(rays)) == len(rays)
 
 
 def test_blowup_characters():
