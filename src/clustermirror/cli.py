@@ -11,7 +11,9 @@ outputs.
 
 import argparse
 import json
+import os
 import sys
+from contextlib import ExitStack
 from json.encoder import encode_basestring_ascii
 
 from .lattice import rational_strings, rationals
@@ -46,15 +48,32 @@ def _load_json(path):
         raise ValueError("%s: JSON nested too deeply" % path)
 
 
-def _write(path, text):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
+def _write(path, text, *more):
+    """Write text to path, and each further (path, text) pair in more;
+    a path of None or "-" is standard output.
+
+    Every file is opened before any is written, and on an error the
+    files this call created are removed, so a request that fails leaves
+    no partial output behind."""
+    outputs = ((path, text),) + more
+    created = []
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with ExitStack() as stack:
+            streams = []
+            for p, _ in outputs:
+                if p is None or p == "-":
+                    streams.append(sys.stdout)
+                    continue
+                new = not os.path.exists(p)
+                streams.append(stack.enter_context(open(p, "w")))
+                if new:
+                    created.append(p)
+            for fh, (p, t) in zip(streams, outputs):
+                fh.write(t)
     except OSError as e:
-        raise ValueError("cannot write %s: %s" % (path, e))
+        for q in created:
+            os.remove(q)
+        raise ValueError("cannot write %s: %s" % (p, e))
 
 
 def _dump_json(doc):
@@ -179,9 +198,8 @@ def cmd_base_syz(args):
                              "xmin < xmax and ymin < ymax")
     if args.convention == COCHARACTER:
         base = toggle_convention(base)
-    _write(args.out, render_syz_svg(base, viewport))
-    if args.json:
-        _write(args.json, _dump_json(base_to_json(base)))
+    extra = [(args.json, _dump_json(base_to_json(base)))] if args.json else []
+    _write(args.out, render_syz_svg(base, viewport), *extra)
 
 
 def cmd_base_trade(args):
@@ -195,9 +213,8 @@ def cmd_base_trade(args):
         return
     # the basepoint is only drawn, so only a 2D base needs one
     q = common_basepoint(base)[0] if args.skeleton and poly.dimension == 2 else None
-    _write(args.out, render_trade_svg(base, q=q))
-    if args.json:
-        _write(args.json, _dump_json(atf_base_to_json(base)))
+    extra = [(args.json, _dump_json(atf_base_to_json(base)))] if args.json else []
+    _write(args.out, render_trade_svg(base, q=q), *extra)
 
 
 def cmd_skeleton_build(args):

@@ -172,9 +172,10 @@ def det(M):
     """Exact determinant of an integer (or rational) square matrix.
 
     Fraction-free Bareiss elimination; stays in Z for integer input.
-    Kept apart from _rref because seed validation runs it on every
-    mutation: Bareiss clears only below each pivot, where _rref's
-    Gauss-Jordan also clears above it.
+    Kept apart from _rref because seed validation runs it once per seed
+    built, so once per node an exchange graph emits: Bareiss clears
+    only below each pivot, where _rref's Gauss-Jordan also clears above
+    it.
     """
     n = len(M)
     if any(len(row) != n for row in M):

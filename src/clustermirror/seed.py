@@ -20,6 +20,7 @@ tests quantify over.
 import json
 import os
 from dataclasses import dataclass
+from operator import mul
 
 from .lattice import (as_int, ints, is_unimodular, malformed, vec_add, vec_neg,
                       vec_scale)
@@ -70,19 +71,19 @@ class ExchangeMatrix:
             raise SeedError("exchange matrix must be square")
 
 
-def _column(s, k):
+def _column(psi, B, d, k):
     """Column k of the exchange matrix: eps_ik = psi_i^T (B psi_k) d_k.
 
     B psi_k is formed once, so the column costs O(n^2).
     """
-    pk = s.psi[k]
-    Bpk = [sum(b * x for b, x in zip(row, pk)) for row in s.B]
-    dk = s.d[k]
-    return [sum(x * y for x, y in zip(p, Bpk)) * dk for p in s.psi]
+    pk = psi[k]
+    Bpk = [sum(map(mul, row, pk)) for row in B]
+    dk = d[k]
+    return [sum(map(mul, p, Bpk)) * dk for p in psi]
 
 
 def exchange_matrix(s):
-    return ExchangeMatrix(tuple(zip(*(_column(s, j) for j in range(s.n)))))
+    return ExchangeMatrix(tuple(zip(*(_column(s.psi, s.B, s.d, j) for j in range(s.n)))))
 
 
 def is_skew_symmetrizable(eps, d):
@@ -97,22 +98,32 @@ def plus(r):
     return r if r > 0 else 0
 
 
+def _mutated_psi(psi, B, d, k):
+    """The basis psi after mutation at k, with no check of k or of the
+    result; callers check both."""
+    pk = psi[k]
+    new_psi = [vec_add(p, vec_scale(c, pk)) if c > 0 else p
+               for p, c in zip(psi, _column(psi, B, d, k))]
+    new_psi[k] = vec_neg(pk)
+    return tuple(new_psi)
+
+
 def mutate(s, k):
     """Mutation at unfrozen index k (0-based)."""
-    if not (0 <= k < s.r):
-        raise SeedError("mutation only at unfrozen vectors")
-    col = _column(s, k)
-    pk = s.psi[k]
-    new_psi = [vec_add(p, vec_scale(c, pk)) if c > 0 else p
-               for p, c in zip(s.psi, col)]
-    new_psi[k] = vec_neg(pk)
-    return Seed(s.n, s.r, tuple(new_psi), s.B, s.d)
+    return mutate_sequence(s, (k,))
 
 
 def mutate_sequence(s, ks):
+    """Mutations at the unfrozen indices ks, in order.
+
+    Each index is checked before its step, and only the final seed is
+    built and validated: the intermediate bases are never returned."""
+    psi = s.psi
     for k in ks:
-        s = mutate(s, k)
-    return s
+        if not (0 <= k < s.r):
+            raise SeedError("mutation only at unfrozen vectors")
+        psi = _mutated_psi(psi, s.B, s.d, k)
+    return Seed(s.n, s.r, psi, s.B, s.d)
 
 
 def matrix_mutation_oracle(em, k):
@@ -197,33 +208,44 @@ def exchange_graph(s, depth):
     prefix of the other, and they compare as the whole texts do.  If the
     node budget is exceeded the graph is returned partial with
     truncated=True; node_budget() sets the budget.
+
+    Children are mutated as bare bases, and a Seed, which runs
+    validate_seed, is built only for a child kept as a new node, so
+    every node in the output is validated once.  The other children need
+    no check: a duplicate permutes the unfrozen vectors of a node already
+    validated, and a child past the budget never reaches the output.
+    Nodes are keyed by their sorted unfrozen (psi_i, d_i) pairs and
+    frozen psi: n, r, B and d are shared by every node, so this key is
+    equal exactly when _canonical_key is.
     """
     if depth < 0:
         raise SeedError("depth must be nonnegative")
     budget = node_budget()
-    nodes = []            # seeds in discovery order
-    index = {}            # canonical key -> node id
+    n, r, B, d = s.n, s.r, s.B, s.d
+    d_unfrozen = d[:r]
+
+    def key(psi):
+        return tuple(sorted(zip(psi[:r], d_unfrozen))), psi[r:]
+
+    nodes = [s]               # seeds in discovery order
+    index = {key(s.psi): 0}   # node key -> node id
     edges = set()
     truncated = False
-
-    key0 = _canonical_key(s)
-    nodes.append(s)
-    index[key0] = 0
     frontier = [0]
     for _ in range(depth):
         if truncated or not frontier:
             break
-        discovered = []   # (sort key, seed, source id, mutation index)
+        discovered = []   # (sort key, psi, source id, mutation index, node key)
         for nid in frontier:
-            cur = nodes[nid]
-            for k in range(cur.r):
-                child = mutate(cur, k)
-                ckey = _canonical_key(child)
+            psi = nodes[nid].psi
+            for k in range(r):
+                child = _mutated_psi(psi, B, d, k)
+                ckey = key(child)
                 if ckey in index:
                     edges.add((nid, index[ckey], k))
                 else:
                     # the psi text sorts as the serialized seed would (see above)
-                    discovered.append((json.dumps(child.psi), child, nid, k, ckey))
+                    discovered.append((json.dumps(child), child, nid, k, ckey))
         discovered.sort(key=lambda item: item[0])
         frontier = []
         for _, child, src, k, ckey in discovered:
@@ -234,7 +256,7 @@ def exchange_graph(s, depth):
                 truncated = True
                 continue
             cid = len(nodes)
-            nodes.append(child)
+            nodes.append(Seed(n, r, child, B, d))
             index[ckey] = cid
             frontier.append(cid)
             edges.add((src, cid, k))

@@ -350,6 +350,28 @@ def test_unwritable_output_exit_2(tmp_path, capsys, argv):
     assert "cannot write %s" % tmp_path in capsys.readouterr().err
 
 
+BL0C2 = ["--polytope", str(FIXTURES / "bl0c2_polytope.json"),
+         "--trades", str(FIXTURES / "bl0c2_trades.json")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["base", "syz", "--seed", A2],
+    ["base", "trade", "--skeleton"] + BL0C2,
+], ids=["syz", "trade"])
+def test_failed_request_leaves_no_partial_output(tmp_path, argv):
+    # the SVG path is writable and the JSON path is not, then the reverse
+    svg, no_json = tmp_path / "b.svg", tmp_path / "missing" / "b.json"
+    assert run(argv + ["--out", str(svg), "--json", str(no_json)]) == 2
+    assert not svg.exists()
+    json_path = tmp_path / "b.json"
+    assert run(argv + ["--out", str(tmp_path), "--json", str(json_path)]) == 2
+    assert not json_path.exists()
+    # only files the request created are removed
+    svg.write_text("old")
+    assert run(argv + ["--out", str(svg), "--json", str(no_json)]) == 2
+    assert svg.exists()
+
+
 def test_base_syz_viewport_exit_2(tmp_path, capsys):
     for value in ("3,3,-3,-3", "-3,3,3,-3", "-3,-3,3"):
         assert run(["base", "syz", "--seed", str(FIXTURES / "a2_seed.json"),

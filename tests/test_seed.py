@@ -1,9 +1,12 @@
+import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from clustermirror import cli
+from clustermirror import cli, seed as seed_module
 from clustermirror.lattice import det
 from clustermirror.seed import (Seed, SeedError, exchange_graph,
                                 exchange_matrix, is_skew_symmetrizable,
@@ -58,6 +61,12 @@ def test_mutate_validates_index():
     frozen = Seed(2, 1, ((1, 0), (0, 1)), ((0, 1), (-1, 0)), (1, 1))
     with pytest.raises(SeedError):
         mutate(frozen, 1)
+    # a bad index mid-sequence is caught at its own step
+    for ks in ([0, 1, 2, 0], [0, -1], [0, 1, 0, 1, 5]):
+        with pytest.raises(SeedError):
+            mutate_sequence(A2, ks)
+    with pytest.raises(SeedError):
+        mutate_sequence(frozen, [0, 0, 1])
 
 
 def test_oracle_examples():
@@ -146,6 +155,9 @@ def test_graph_depth6_frozen():
     # rank 4, one frozen vector, multipliers (1, 2, 1, 3); the budget cuts
     # a layer short, so the order of new nodes decides which ones are kept
     ("rank4_frozen_seed.json", 10, "40", "rank4_frozen_graph.json"),
+    # rank 5, two frozen vectors, multipliers (1, 2, 3, 1, 2); the budget
+    # keeps 23 of the 107 new nodes of the fifth layer
+    ("rank5_frozen_seed.json", 8, "100", "rank5_frozen_graph.json"),
 ])
 def test_graph_golden_output(tmp_path, monkeypatch, seed, depth, budget, golden):
     if budget is not None:
@@ -164,6 +176,111 @@ def test_graph_deterministic_and_budget(monkeypatch):
     small = exchange_graph(A2, 6)
     assert small["truncated"]
     assert len(small["nodes"]) == 10
+
+
+def _count_validations(monkeypatch):
+    calls = []
+    real = seed_module.validate_seed
+
+    def counted(s):
+        calls.append(s)
+        real(s)
+    monkeypatch.setattr(seed_module, "validate_seed", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed, depth, budget", [
+    ("a2_seed.json", 6, None),
+    ("rank4_frozen_seed.json", 10, "40"),
+    ("rank5_frozen_seed.json", 8, "100"),
+    ("rank5_frozen_seed.json", 3, None),
+])
+def test_graph_validates_each_new_node_once(monkeypatch, seed, depth, budget):
+    if budget is not None:
+        monkeypatch.setenv("CLUSTERMIRROR_BUDGET", budget)
+    s = deserialize_seed(json.loads((FIXTURES / seed).read_text()))
+    calls = _count_validations(monkeypatch)
+    g = exchange_graph(s, depth)
+    assert len(calls) == len(g["nodes"]) - 1
+    assert [serialize_seed(c) for c in calls] == g["nodes"][1:]
+
+
+def test_mutate_sequence_validates_once(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    assert mutate_sequence(A2, [0, 1, 0, 1, 0]).psi == ((-1, 0), (0, 1))
+    assert len(calls) == 1
+    mutate(A2, 1)
+    assert len(calls) == 2
+
+
+def _reference_graph(s, depth, budget):
+    """Breadth-first search built only from mutate and seed_equivalent:
+    every child is a validated Seed, found nodes are looked up by a
+    linear scan, and new nodes of a layer are kept in the order of
+    their whole serialized text."""
+    nodes, edges, truncated, frontier = [s], set(), False, [0]
+    for _ in range(depth):
+        if truncated or not frontier:
+            break
+        discovered = []
+        for nid in frontier:
+            for k in range(s.r):
+                child = mutate(nodes[nid], k)
+                found = [i for i, x in enumerate(nodes) if seed_equivalent(child, x)]
+                if found:
+                    edges.add((nid, found[0], k))
+                else:
+                    text = json.dumps(serialize_seed(child), sort_keys=True)
+                    discovered.append((text, nid, k, child))
+        discovered.sort(key=lambda item: item[0])
+        frontier = []
+        for _, src, k, child in discovered:
+            found = [i for i, x in enumerate(nodes) if seed_equivalent(child, x)]
+            if found:
+                edges.add((src, found[0], k))
+            elif len(nodes) >= budget:
+                truncated = True
+            else:
+                frontier.append(len(nodes))
+                edges.add((src, len(nodes), k))
+                nodes.append(child)
+    return {"nodes": [serialize_seed(x) for x in nodes],
+            "edges": [{"source": a, "target": b, "mutation": k}
+                      for a, b, k in sorted(edges)],
+            "truncated": truncated}
+
+
+@st.composite
+def graph_seeds(draw):
+    """A rank 3-6 seed: skew B with entries in [-2, 2], d in {1, 2, 3},
+    psi the identity under a few random row additions."""
+    n = draw(st.integers(3, 6))
+    r = draw(st.integers(1, n))
+    B = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            B[i][j] = draw(st.integers(-2, 2))
+            B[j][i] = -B[i][j]
+    d = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    psi = [[int(i == j) for j in range(n)] for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(pairs, max_size=4)):
+        if i != j:
+            psi[i] = [a + c * b for a, b in zip(psi[i], psi[j])]
+    return Seed(n, r, tuple(map(tuple, psi)), tuple(map(tuple, B)), d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_seeds(), st.integers(1, 8), st.integers(1, 60))
+@example(Seed(3, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+              ((0, 1, 0), (-1, 0, 1), (0, -1, 0)), (1, 2, 1)), 2, 60)     # not truncated
+@example(Seed(4, 3, ((1, 0, 0, 0), (1, 1, 0, 0), (0, -1, 1, 0), (0, 0, 1, 1)),
+              ((0, 1, -1, 0), (-1, 0, 1, 1), (1, -1, 0, 2), (0, -1, -2, 0)),
+              (1, 2, 1, 3)), 8, 30)                                        # truncated
+def test_graph_matches_reference_search(s, depth, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CLUSTERMIRROR_BUDGET", str(budget))
+        assert exchange_graph(s, depth) == _reference_graph(s, depth, budget)
 
 
 def test_budget_env(monkeypatch):
