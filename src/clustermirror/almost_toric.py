@@ -39,6 +39,8 @@ class AlmostToricError(ValueError):
 
 class InfeasibleBase(AlmostToricError):
     """No common basepoint; carries an offending pair of eigenloci."""
+    exit_code = 3    # infeasible request: cli.main exits with this code
+
     def __init__(self, pair, message):
         self.pair = pair
         super().__init__(message)

@@ -7,6 +7,12 @@ Exit codes: 0 success, 1 invariant failure, 2 input validation or an
 unwritable output path, 3 infeasibility.  All randomized suites require
 an explicit PRNG seed and identical inputs always produce byte-identical
 outputs.
+
+This module imports only the standard library, and each cmd_* function
+imports the package modules it runs, so a cold start loads only what
+its subcommand needs.  An exception picks its own exit code through an
+`exit_code` attribute (3 on `NotMutable` and `InfeasibleBase`); every
+other ValueError exits 2.
 """
 
 import argparse
@@ -16,24 +22,15 @@ import sys
 from contextlib import ExitStack
 from json.encoder import encode_basestring_ascii
 
-from .lattice import rational_strings, rationals
-from .seed import deserialize_seed, exchange_graph, mutate_sequence, serialize_seed
-from .toric_model import fan_from_seed, model_to_json, toric_model
-from .syz_base import (CHARACTER, COCHARACTER, VIEWPORT, base_from_fan, base_to_json,
-                       render_svg as render_syz_svg, toggle_convention)
-from .skeleton import disk_surgery, skeleton_from_json, skeleton_from_seed, skeleton_to_json
-from .local_system import (NotMutable, chart_transition, deserialize_local_system,
-                           mutate_local_system, serialize_local_system)
-from .almost_toric import (InfeasibleBase, apply_trades,
-                           base_to_json as atf_base_to_json, common_basepoint,
-                           polytope_from_json, render_svg as render_trade_svg,
-                           trades_from_json)
-from .verify import SUITES, run_suites
-
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
+
+# verify.SUITES in its order, and syz_base.CHARACTER and COCHARACTER,
+# repeated here so that building the parser imports neither module
+_SUITES = ("epsilon", "dictionary", "duality", "smoothness", "coherence")
+_CONVENTIONS = ("character", "cocharacter")
 
 
 def _load_json(path):
@@ -52,11 +49,14 @@ def _write(path, text, *more):
     """Write text to path, and each further (path, text) pair in more;
     a path of None or "-" is standard output.
 
-    Every file is opened before any is written, and on an error the
-    files this call created are removed, so a request that fails leaves
-    no partial output behind."""
+    Every file is opened before any is written, without truncating it,
+    and on an error the files this call created are removed, so a
+    request that fails leaves no partial output behind and every file
+    that existed before it unchanged.  Regular files that existed are
+    truncated once every path is open (a device such as /dev/null
+    cannot be, and a file this call created is already empty)."""
     outputs = ((path, text),) + more
-    created = []
+    created, existing = [], []
     try:
         with ExitStack() as stack:
             streams = []
@@ -65,9 +65,14 @@ def _write(path, text, *more):
                     streams.append(sys.stdout)
                     continue
                 new = not os.path.exists(p)
-                streams.append(stack.enter_context(open(p, "w")))
+                fh = stack.enter_context(open(p, "a"))
+                streams.append(fh)
                 if new:
                     created.append(p)
+                elif os.path.isfile(p):
+                    existing.append(fh)
+            for fh in existing:
+                fh.truncate(0)
             for fh, (p, t) in zip(streams, outputs):
                 fh.write(t)
     except OSError as e:
@@ -169,23 +174,32 @@ def _parse_handle_class(raw):
 
 
 def cmd_seed_mutate(args):
+    from .seed import deserialize_seed, mutate_sequence, serialize_seed
     s = deserialize_seed(_load_json(args.seed))
     s = mutate_sequence(s, _parse_sequence(args.sequence, s.r))
     _write(args.out, _dump_json(serialize_seed(s)))
 
 
 def cmd_seed_graph(args):
+    from .seed import deserialize_seed, exchange_graph
     s = deserialize_seed(_load_json(args.seed))
     g = exchange_graph(s, args.depth)
     _write(args.out, _dump_json(g))
 
 
 def cmd_seed_model(args):
+    from .seed import deserialize_seed
+    from .toric_model import model_to_json, toric_model
     m = toric_model(deserialize_seed(_load_json(args.seed)))
     _write(args.out, _dump_json(model_to_json(m)))
 
 
 def cmd_base_syz(args):
+    from .lattice import rationals
+    from .seed import deserialize_seed
+    from .syz_base import (COCHARACTER, VIEWPORT, base_from_fan, base_to_json,
+                           render_svg, toggle_convention)
+    from .toric_model import fan_from_seed
     fan = fan_from_seed(deserialize_seed(_load_json(args.seed)))
     radii = rationals(args.radii.split(",")) if args.radii else None
     base = base_from_fan(fan, radii)
@@ -199,36 +213,44 @@ def cmd_base_syz(args):
     if args.convention == COCHARACTER:
         base = toggle_convention(base)
     extra = [(args.json, _dump_json(base_to_json(base)))] if args.json else []
-    _write(args.out, render_syz_svg(base, viewport), *extra)
+    _write(args.out, render_svg(base, viewport), *extra)
 
 
 def cmd_base_trade(args):
+    from .almost_toric import (apply_trades, base_to_json, common_basepoint,
+                               polytope_from_json, render_svg, trades_from_json)
     poly = polytope_from_json(_load_json(args.polytope))
     trades = trades_from_json(_load_json(args.trades))
     base = apply_trades(poly, trades)
     if poly.dimension > 2 and args.out is None:
         # only 2D bases render; without an explicit --out an nD base is
         # written as its JSON document alone
-        _write(args.json, _dump_json(atf_base_to_json(base)))
+        _write(args.json, _dump_json(base_to_json(base)))
         return
     # the basepoint is only drawn, so only a 2D base needs one
     q = common_basepoint(base)[0] if args.skeleton and poly.dimension == 2 else None
-    extra = [(args.json, _dump_json(atf_base_to_json(base)))] if args.json else []
-    _write(args.out, render_trade_svg(base, q=q), *extra)
+    extra = [(args.json, _dump_json(base_to_json(base)))] if args.json else []
+    _write(args.out, render_svg(base, q=q), *extra)
 
 
 def cmd_skeleton_build(args):
+    from .seed import deserialize_seed
+    from .skeleton import skeleton_from_seed, skeleton_to_json
     sk = skeleton_from_seed(deserialize_seed(_load_json(args.seed)))
     _write(args.out, _dump_json(skeleton_to_json(sk)))
 
 
 def cmd_skeleton_surgery(args):
+    from .skeleton import disk_surgery, skeleton_from_json, skeleton_to_json
     sk = skeleton_from_json(_load_json(args.skeleton))
     out = disk_surgery(sk, args.handle - 1)
     _write(args.out, _dump_json(skeleton_to_json(out)))
 
 
 def cmd_locsys_mutate(args):
+    from .lattice import rational_strings
+    from .local_system import (deserialize_local_system, mutate_local_system,
+                               serialize_local_system)
     ls = deserialize_local_system(_load_json(args.locsys))
     out, adapted = mutate_local_system(ls, _parse_handle_class(args.handle_class))
     doc = serialize_local_system(out)
@@ -237,11 +259,14 @@ def cmd_locsys_mutate(args):
 
 
 def cmd_locsys_transition(args):
+    from .local_system import chart_transition
+    from .seed import deserialize_seed
     fns = chart_transition(deserialize_seed(_load_json(args.seed)), args.k - 1)
     _write(args.out, "".join("x%d' = %s\n" % (i + 1, f) for i, f in enumerate(fns)))
 
 
 def cmd_verify(args):
+    from .verify import SUITES, run_suites
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, args.prng, args.cases)
     all_ok = all(r["passed"] for r in reports)
@@ -282,7 +307,7 @@ def build_parser():
     bs.add_argument("--json", default=None)
     bs.add_argument("--radii", default=None)
     bs.add_argument("--viewport", default=None)
-    bs.add_argument("--convention", choices=[CHARACTER, COCHARACTER], default=CHARACTER)
+    bs.add_argument("--convention", choices=list(_CONVENTIONS), default=_CONVENTIONS[0])
     bs.set_defaults(fn=cmd_base_syz)
     bt = base.add_parser("trade", parents=out)
     bt.add_argument("--polytope", required=True)
@@ -308,7 +333,7 @@ def build_parser():
     lt.set_defaults(fn=cmd_locsys_transition)
 
     v = sub.add_parser("verify")
-    v.add_argument("--suite", choices=["all"] + sorted(SUITES), default="all")
+    v.add_argument("--suite", choices=["all"] + sorted(_SUITES), default="all")
     v.add_argument("--prng", type=int, required=True)
     v.add_argument("--cases", type=int, default=None)
     v.add_argument("--report", default=None)
@@ -323,9 +348,9 @@ def main(argv=None):
     global _parser
     if _parser is None:
         # Built on the first call, not at import, and kept for the life of
-        # the process.  That first call fixes the --suite choices (the keys
-        # of SUITES) and the fn=cmd_* bindings; later changes to either
-        # are not seen.  parse_args keeps no state between calls.
+        # the process.  That first call fixes the fn=cmd_* bindings; later
+        # changes to them are not seen.  parse_args keeps no state between
+        # calls.
         _parser = build_parser()
     try:
         args = _parser.parse_args(argv)
@@ -334,12 +359,10 @@ def main(argv=None):
     try:
         # a command returns nothing, or EXIT_INVARIANT when verify fails
         return args.fn(args) or EXIT_OK
-    except (NotMutable, InfeasibleBase) as e:
-        sys.stderr.write(str(e) + "\n")
-        return EXIT_INFEASIBLE
     except ValueError as e:
         sys.stderr.write(str(e) + "\n")
-        return EXIT_VALIDATION
+        # infeasibility exceptions carry EXIT_INFEASIBLE as their exit_code
+        return getattr(e, "exit_code", EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

@@ -50,6 +50,8 @@ class LocalSystemError(ValueError):
 
 
 class NotMutable(LocalSystemError):
+    exit_code = 3    # infeasible request: cli.main exits with this code
+
     def __init__(self, s, witness):
         self.s = s
         self.witness = witness

@@ -275,12 +275,25 @@ def test_verify_failure_serializes_counterexample(tmp_path, monkeypatch, capsys)
         return {"suite": "epsilon", "cases": 1, "passed": False,
                 "failures": [{"seed": "witness"}]}
 
-    monkeypatch.setitem(cli.SUITES, "epsilon", broken)
+    monkeypatch.setitem(V.SUITES, "epsilon", broken)
     rep = tmp_path / "rep.json"
     rc = run(["verify", "--suite", "epsilon", "--prng", "1", "--report", str(rep)])
     assert rc == 1
     doc = json.loads(rep.read_text())
     assert doc["suites"][0]["failures"] == [{"seed": "witness"}]
+
+
+def test_parser_constants_match_their_modules(capsys):
+    # the parser repeats these so that building it imports neither module
+    from clustermirror import verify
+    from clustermirror.almost_toric import InfeasibleBase
+    from clustermirror.local_system import NotMutable
+    from clustermirror.syz_base import CHARACTER, COCHARACTER
+    assert cli._SUITES == tuple(verify.SUITES)
+    assert cli._CONVENTIONS == (CHARACTER, COCHARACTER)
+    assert NotMutable.exit_code == InfeasibleBase.exit_code == cli.EXIT_INFEASIBLE
+    assert run(["verify", "--suite", "bogus", "--prng", "1"]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_verify_reports_deterministic(tmp_path):
@@ -366,10 +379,19 @@ def test_failed_request_leaves_no_partial_output(tmp_path, argv):
     json_path = tmp_path / "b.json"
     assert run(argv + ["--out", str(tmp_path), "--json", str(json_path)]) == 2
     assert not json_path.exists()
-    # only files the request created are removed
+    # only files the request created are removed, and a file that
+    # existed before keeps its bytes
     svg.write_text("old")
     assert run(argv + ["--out", str(svg), "--json", str(no_json)]) == 2
-    assert svg.exists()
+    assert svg.read_text() == "old"
+
+
+def test_shorter_output_replaces_longer_file(tmp_path):
+    out = tmp_path / "b.svg"
+    golden = (FIXTURES / "a2_syz.svg").read_bytes()
+    out.write_bytes(b"x" * (2 * len(golden)))
+    assert run(["base", "syz", "--seed", A2, "--out", str(out)]) == 0
+    assert out.read_bytes() == golden
 
 
 def test_base_syz_viewport_exit_2(tmp_path, capsys):
