@@ -90,16 +90,22 @@ def _dump_json(doc):
     time on exchange graphs.  Only exact types are written: dict with str
     keys, list, tuple (as a list), str, int, bool and None.  Anything
     else, a float, a non-str key or a subclass, raises TypeError, so no
-    float can reach an output."""
+    float can reach an output.
+
+    A list of lists is rendered once per indentation: an exchange graph
+    shares one B list between all its nodes.  Its text is kept for this
+    call, keyed by (id, indentation); the ids stay valid because doc
+    keeps every object in it alive until the call returns."""
     out = []
-    _write_json(doc, "\n", out)
+    _write_json(doc, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(x, nl, out):
+def _write_json(x, nl, out, memo):
     """Append x to out, laid out as json.dumps(indent=2) would lay it
-    out at the indentation that nl (a newline and spaces) opens."""
+    out at the indentation that nl (a newline and spaces) opens; memo
+    maps (id, nl) of each list of lists already written to its text."""
     t = type(x)
     if t is str:
         out.append(encode_basestring_ascii(x))
@@ -113,12 +119,23 @@ def _write_json(x, nl, out):
         if all(type(v) is int for v in x):
             out.append("[" + inner + ("," + inner).join(map(str, x)) + nl + "]")
             return
+        nested = type(x[0]) is list or type(x[0]) is tuple
+        if nested:
+            key = (id(x), nl)
+            text = memo.get(key)
+            if text is not None:
+                out.append(text)
+                return
+            start = len(out)
         sep = "[" + inner
         for v in x:
             out.append(sep)
-            _write_json(v, inner, out)
+            _write_json(v, inner, out, memo)
             sep = "," + inner
         out.append(nl + "]")
+        if nested:
+            text = memo[key] = "".join(out[start:])
+            out[start:] = [text]
     elif t is dict:
         if not x:
             out.append("{}")
@@ -134,7 +151,7 @@ def _write_json(x, nl, out):
         sep = "{" + inner
         for k in keys:
             out.append(sep + encode_basestring_ascii(k) + ": ")
-            _write_json(x[k], inner, out)
+            _write_json(x[k], inner, out, memo)
             sep = "," + inner
         out.append(nl + "}")
     elif x is None:

@@ -11,9 +11,10 @@ elimination divides only exactly, and each result entry becomes one
 Fraction at the end.  One pivot step (_pivot) serves _rref and the
 exact LP feasibility test (feasible), whose simplex runs on it too.
 det keeps its own integer Bareiss loop, which clears below each pivot
-only, where _pivot also clears above it: it runs on every seed
-validation, and through _pivot it ran 2-3 times slower on random 3x3
-to 6x6 integer matrices.
+only, where _pivot also clears above it: through _pivot it ran 2-3
+times slower on random 3x3 to 6x6 integer matrices.  It runs on every
+Seed and LocalSystem built, on det(I - E_s) in local-system mutation
+and in verify, but not on the nodes an exchange graph derives.
 """
 
 from contextlib import contextmanager
@@ -172,10 +173,10 @@ def det(M):
     """Exact determinant of an integer (or rational) square matrix.
 
     Fraction-free Bareiss elimination; stays in Z for integer input.
-    Kept apart from _rref because seed validation runs it once per seed
-    built, so once per node an exchange graph emits: Bareiss clears
-    only below each pivot, where _rref's Gauss-Jordan also clears above
-    it.
+    Kept apart from _rref because every Seed and LocalSystem built runs
+    it: Bareiss clears only below each pivot, where _rref's
+    Gauss-Jordan also clears above it, and _rref took 2-3 times as long
+    on small matrices.
     """
     n = len(M)
     if any(len(row) != n for row in M):

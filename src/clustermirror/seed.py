@@ -161,14 +161,15 @@ def _canonical_key(s):
     return (s.n, s.r, unfrozen, s.psi[s.r:], s.d[s.r:], s.B)
 
 
+def _node_doc(n, r, psi, B, d):
+    """The document of one seed, with psi as fresh lists and the given
+    B and d lists as they are."""
+    return {"rank": n, "unfrozen": r, "psi": [list(p) for p in psi], "B": B, "d": d}
+
+
 def serialize_seed(s):
-    return {
-        "rank": s.n,
-        "unfrozen": s.r,
-        "psi": [list(p) for p in s.psi],
-        "B": [list(row) for row in s.B],
-        "d": list(s.d),
-    }
+    """The document of s; every list in it is fresh."""
+    return _node_doc(s.n, s.r, s.psi, [list(row) for row in s.B], list(s.d))
 
 
 def deserialize_seed(doc):
@@ -209,14 +210,20 @@ def exchange_graph(s, depth):
     node budget is exceeded the graph is returned partial with
     truncated=True; node_budget() sets the budget.
 
-    Children are mutated as bare bases, and a Seed, which runs
-    validate_seed, is built only for a child kept as a new node, so
-    every node in the output is validated once.  The other children need
-    no check: a duplicate permutes the unfrozen vectors of a node already
-    validated, and a child past the budget never reaches the output.
+    Nodes are kept as bare bases psi, and no Seed is built for a node
+    the graph derives, so validate_seed never runs on one: no check it
+    makes can fail there.  Mutation at k sends psi to E_k psi, where E_k
+    is the identity but for column k, E[i][k] = [eps_ik]_+ (i != k) and
+    E[k][k] = -1, so det psi' = -det psi and every node stays a Z-basis
+    once s is one.  Mutation leaves n, r, B and d alone, so the shape,
+    skew-symmetry and multiplier checks s passed hold on every node.
     Nodes are keyed by their sorted unfrozen (psi_i, d_i) pairs and
     frozen psi: n, r, B and d are shared by every node, so this key is
     equal exactly when _canonical_key is.
+
+    Every node document refers to the same B and d lists, built once,
+    so the returned graph is read-only: a change to one node's "B" or
+    "d" changes them all.
     """
     if depth < 0:
         raise SeedError("depth must be nonnegative")
@@ -227,7 +234,7 @@ def exchange_graph(s, depth):
     def key(psi):
         return tuple(sorted(zip(psi[:r], d_unfrozen))), psi[r:]
 
-    nodes = [s]               # seeds in discovery order
+    nodes = [s.psi]           # bases in discovery order
     index = {key(s.psi): 0}   # node key -> node id
     edges = set()
     truncated = False
@@ -237,7 +244,7 @@ def exchange_graph(s, depth):
             break
         discovered = []   # (sort key, psi, source id, mutation index, node key)
         for nid in frontier:
-            psi = nodes[nid].psi
+            psi = nodes[nid]
             for k in range(r):
                 child = _mutated_psi(psi, B, d, k)
                 ckey = key(child)
@@ -256,12 +263,13 @@ def exchange_graph(s, depth):
                 truncated = True
                 continue
             cid = len(nodes)
-            nodes.append(Seed(n, r, child, B, d))
+            nodes.append(child)
             index[ckey] = cid
             frontier.append(cid)
             edges.add((src, cid, k))
+    B_doc, d_doc = [list(row) for row in B], list(d)
     return {
-        "nodes": [serialize_seed(x) for x in nodes],
+        "nodes": [_node_doc(n, r, psi, B_doc, d_doc) for psi in nodes],
         "edges": [
             {"source": a, "target": b, "mutation": k}
             for a, b, k in sorted(edges)

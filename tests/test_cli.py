@@ -3,7 +3,7 @@ from collections import OrderedDict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clustermirror import cli
@@ -603,6 +603,34 @@ json_docs = st.recursive(
 @settings(max_examples=100, deadline=None, database=None)
 @given(json_docs)
 def test_dump_json_matches_indented_json_dumps(doc):
+    assert cli._dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_M = [[1, -2], [3, 4]]
+_T = [[_M, [5]], _M]
+
+
+@st.composite
+def docs_with_shared_lists(draw):
+    """A document holding the same lists of lists, and a list of them,
+    at several places and indentations."""
+    pool = draw(st.lists(st.lists(st.lists(st.integers(-9, 9), max_size=3),
+                                  min_size=1, max_size=3), min_size=1, max_size=3))
+    pool.append(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+    # sampled_from hands out the pool's objects themselves, not copies
+    return draw(st.recursive(st.sampled_from(pool),
+                             lambda kids: st.one_of(st.lists(kids),
+                                                    st.dictionaries(json_text, kids)),
+                             max_leaves=8))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(docs_with_shared_lists())
+@example({"a": _M, "b": _M, "c": [_M, _M]})              # one list in two places
+@example({"a": _M, "b": {"c": {"d": _M}}, "e": [[_M]]})  # one list at other indentations
+@example([_T, {"t": _T, "u": [_T, _M]}, _T])             # shared lists inside shared lists
+@example(([[1]],) * 3)                                   # a shared tuple
+def test_dump_json_matches_json_dumps_with_shared_lists(doc):
     assert cli._dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -189,22 +189,6 @@ def _count_validations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("seed, depth, budget", [
-    ("a2_seed.json", 6, None),
-    ("rank4_frozen_seed.json", 10, "40"),
-    ("rank5_frozen_seed.json", 8, "100"),
-    ("rank5_frozen_seed.json", 3, None),
-])
-def test_graph_validates_each_new_node_once(monkeypatch, seed, depth, budget):
-    if budget is not None:
-        monkeypatch.setenv("CLUSTERMIRROR_BUDGET", budget)
-    s = deserialize_seed(json.loads((FIXTURES / seed).read_text()))
-    calls = _count_validations(monkeypatch)
-    g = exchange_graph(s, depth)
-    assert len(calls) == len(g["nodes"]) - 1
-    assert [serialize_seed(c) for c in calls] == g["nodes"][1:]
-
-
 def test_mutate_sequence_validates_once(monkeypatch):
     calls = _count_validations(monkeypatch)
     assert mutate_sequence(A2, [0, 1, 0, 1, 0]).psi == ((-1, 0), (0, 1))
@@ -281,6 +265,45 @@ def test_graph_matches_reference_search(s, depth, budget):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("CLUSTERMIRROR_BUDGET", str(budget))
         assert exchange_graph(s, depth) == _reference_graph(s, depth, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_seeds(), st.integers(1, 8), st.integers(1, 60),
+       st.lists(st.integers(0, 5), max_size=8))
+def test_derived_seeds_stay_valid(s, depth, budget, ks):
+    # exchange_graph validates no node it derives; every node it emits,
+    # rebuilt as a Seed, still passes validate_seed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CLUSTERMIRROR_BUDGET", str(budget))
+        calls = _count_validations(mp)
+        g = exchange_graph(s, depth)
+        assert calls == []
+    for doc in g["nodes"]:
+        seed_module.validate_seed(deserialize_seed(doc))
+    # mutation at k multiplies psi by E_k, and det E_k = -1
+    ks = [k % s.r for k in ks]
+    assert det(mutate_sequence(s, ks).psi) == (-1) ** len(ks) * det(s.psi)
+
+
+def test_graph_nodes_share_B_and_d():
+    g = exchange_graph(A2, 4)
+    first = g["nodes"][0]
+    assert len(g["nodes"]) > 1
+    for node in g["nodes"]:
+        assert node["B"] is first["B"] and node["d"] is first["d"]
+    assert g["nodes"][0] == serialize_seed(A2)
+
+
+def test_serialize_seed_returns_fresh_lists():
+    a, b = serialize_seed(A2), serialize_seed(A2)
+    for key in ("psi", "B", "d"):
+        assert a[key] is not b[key]
+    for x, y in zip(a["psi"] + a["B"], b["psi"] + b["B"]):
+        assert x is not y
+    a["B"][0][1] = 7
+    a["psi"][0].append(9)
+    a["d"].append(9)
+    assert serialize_seed(A2) == b
 
 
 def test_budget_env(monkeypatch):
