@@ -93,8 +93,9 @@ def _dump_json(doc):
     float can reach an output.
 
     A list of lists is rendered once per indentation: an exchange graph
-    shares one B list between all its nodes.  Its text is kept for this
-    call, keyed by (id, indentation); the ids stay valid because doc
+    shares one B list between all its nodes.  Where its text lies in the
+    output is kept for this call, keyed by (id, indentation), and a
+    later occurrence copies that text; the ids stay valid because doc
     keeps every object in it alive until the call returns."""
     out = []
     _write_json(doc, "\n", out, {})
@@ -105,7 +106,8 @@ def _dump_json(doc):
 def _write_json(x, nl, out, memo):
     """Append x to out, laid out as json.dumps(indent=2) would lay it
     out at the indentation that nl (a newline and spaces) opens; memo
-    maps (id, nl) of each list of lists already written to its text."""
+    maps (id, nl) of each list of lists already written to the slice of
+    out that holds its text."""
     t = type(x)
     if t is str:
         out.append(encode_basestring_ascii(x))
@@ -122,9 +124,9 @@ def _write_json(x, nl, out, memo):
         nested = type(x[0]) is list or type(x[0]) is tuple
         if nested:
             key = (id(x), nl)
-            text = memo.get(key)
-            if text is not None:
-                out.append(text)
+            span = memo.get(key)
+            if span is not None:
+                out += out[span[0]:span[1]]
                 return
             start = len(out)
         sep = "[" + inner
@@ -134,8 +136,7 @@ def _write_json(x, nl, out, memo):
             sep = "," + inner
         out.append(nl + "]")
         if nested:
-            text = memo[key] = "".join(out[start:])
-            out[start:] = [text]
+            memo[key] = (start, len(out))
     elif t is dict:
         if not x:
             out.append("{}")

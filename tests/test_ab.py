@@ -93,9 +93,9 @@ def test_main_writes_bench_file(tmp_path, monkeypatch):
     monkeypatch.setattr(ab, "ROOT", str(tmp_path))
     monkeypatch.setattr(ab, "run_bench", run)
     assert ab.main(["--parent", "HEAD~1", "--pr", "99", "--pairs", "3",
-                    "--first-seed", "40", "--workloads", "w2"]) == 0
+                    "--first-seed", "40"]) == 0
     # both sides run the change's perfbench; only the code under test differs
-    assert set(seen) == {("old", "new"), ("new", "new")} and len(seen) == 6
+    assert set(seen) == {("old", "new"), ("new", "new")} and len(seen) == 12
     doc = json.loads((tmp_path / "BENCH_99.json").read_text())
     assert set(doc) == {"pr", "python", "seconds", "pairs", "commits", "workloads"}
     assert (doc["pr"], doc["seconds"], doc["pairs"]) == (99, 3, 3)
@@ -103,6 +103,7 @@ def test_main_writes_bench_file(tmp_path, monkeypatch):
     assert doc["commits"]["change"]["ref"] == "HEAD"
     assert all(len(c["commit"]) == 40 for c in doc["commits"].values())
     assert doc["commits"]["parent"]["commit"] != doc["commits"]["change"]["commit"]
+    assert list(doc["workloads"]) == ["w1", "w2"]
     w = doc["workloads"]["w2"]
     assert w["seeds"] == [40, 41, 42] and w["digests_equal"] == 3
     assert w["metrics"]["ops_per_s"]["wins"] == 3

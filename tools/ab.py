@@ -1,19 +1,18 @@
 """A/B benchmark of a parent commit against a change, in alternating pairs.
 
-    python3 tools/ab.py --parent REF [--change REF] --pr N --pairs 10
-                        --first-seed S [--workloads W,...] [--seconds T]
+    python3 tools/ab.py --parent REF --pr N --pairs 10 --first-seed S
 
-Run from the root of a git checkout.  Both refs are exported with `git
-archive` into a temporary directory, and the change's `perfbench/` is
-copied over the parent's, so that the two sides differ only in the code
-under test.  For each workload, pair i runs
+Run from the root of a git checkout.  REF (the parent) and HEAD (the
+change) are exported with `git archive` into a temporary directory, and
+the change's `perfbench/` is copied over the parent's, so that the two
+sides differ only in the code under test.  For each workload in
+BENCHMARK.json, pair i runs
 
     python3 perfbench/run.py --workload W --seed S+i --seconds T --trace 0
 
 once on each side: the parent first on even pairs, the change first on
-odd ones.  T defaults to `run_seconds` in BENCHMARK.json, and the
-workloads to all of it.  Use seeds that were not used while the change
-was built.
+odd ones.  T is `run_seconds` in BENCHMARK.json.  Use seeds that were
+not used while the change was built.
 
 `BENCH_<N>.json` is written at the root.  Per workload and end-to-end
 metric it holds each side's median, q1, q3 and runs (quartiles by
@@ -130,32 +129,31 @@ def main(argv=None):
         bench = json.load(fh)
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True)
-    p.add_argument("--change", default="HEAD")
     p.add_argument("--pr", type=int, required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--first-seed", type=int, required=True)
-    p.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
-    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = p.parse_args(argv)
     metrics = {m["name"]: (m["unit"], m["better"]) for m in bench["end_to_end"]}
-    commits = {"parent": args.parent, "change": args.change}
+    seconds = bench["run_seconds"]
+    # resolved once, so that a commit made during the run changes nothing
+    commits = {side: {"ref": ref, "commit": git("rev-parse", ref).decode().strip()}
+               for side, ref in zip(SIDES, (args.parent, "HEAD"))}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         roots = {side: os.path.join(tmp, side) for side in SIDES}
         for side in SIDES:
-            export(commits[side], roots[side])
+            export(commits[side]["commit"], roots[side])
         shutil.rmtree(os.path.join(roots["parent"], "perfbench"))
         shutil.copytree(os.path.join(roots["change"], "perfbench"),
                         os.path.join(roots["parent"], "perfbench"))
-        results = compare(roots, args.workloads.split(","), args.first_seed, args.pairs,
-                          args.seconds, metrics, run=run_bench,
+        results = compare(roots, [w["name"] for w in bench["workloads"]], args.first_seed,
+                          args.pairs, seconds, metrics, run=run_bench,
                           log=lambda line: print(line, file=sys.stderr, flush=True))
     doc = {
         "pr": args.pr,
         "python": platform.python_version(),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "pairs": args.pairs,
-        "commits": {side: {"ref": ref, "commit": git("rev-parse", ref).decode().strip()}
-                    for side, ref in commits.items()},
+        "commits": commits,
         "workloads": results,
     }
     path = os.path.join(ROOT, "BENCH_%d.json" % args.pr)
