@@ -189,6 +189,27 @@ def _count_validations(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("seed, depth, budget", [
+    ("a2_seed.json", 6, None),
+    ("rank4_frozen_seed.json", 10, "40"),
+    ("rank5_frozen_seed.json", 8, "100"),
+    ("rank5_frozen_seed.json", 3, None),
+])
+def test_graph_validates_each_new_node_once(monkeypatch, seed, depth, budget):
+    # exchange_graph itself validates no node it derives; each new node is
+    # validated once when its document is read back, and passes
+    if budget is not None:
+        monkeypatch.setenv("CLUSTERMIRROR_BUDGET", budget)
+    s = deserialize_seed(json.loads((FIXTURES / seed).read_text()))
+    calls = _count_validations(monkeypatch)
+    g = exchange_graph(s, depth)
+    assert calls == []
+    for doc in g["nodes"][1:]:
+        deserialize_seed(doc)
+    assert len(calls) == len(g["nodes"]) - 1
+    assert [serialize_seed(c) for c in calls] == g["nodes"][1:]
+
+
 def test_mutate_sequence_validates_once(monkeypatch):
     calls = _count_validations(monkeypatch)
     assert mutate_sequence(A2, [0, 1, 0, 1, 0]).psi == ((-1, 0), (0, 1))
