@@ -17,13 +17,14 @@ on base tangent vectors, which is the matrix that fixes the eigen
 direction M^{-1}(1,1) and carries one boundary edge across the cut to
 the other (the smoothness criterion).  This is also what makes the
 duality test work: the recorded matrix equals the transpose of the
-B-side monodromy of the eigen direction.
+B-side monodromy of the eigen direction.  The records are namedtuples,
+equal as tuples.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .lattice import (as_int, as_rational, feasible, ints, malformed,
+from .lattice import (Validated, as_int, as_rational, feasible, ints, malformed,
                       mat_mul, mat_vec, primitive_part, rational_strings, rationals,
                       solve_rational, transpose, unimodular_inverse, vec_add, vec_neg,
                       vec_sub)
@@ -46,57 +47,47 @@ class InfeasibleBase(AlmostToricError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class MomentPolytope:
+class MomentPolytope(Validated, namedtuple("MomentPolytope", "dimension vertices rays facets")):
     """dimension 2: ordered rational vertices, optional (start, end) ray
-    directions.  dimension > 2: facets as (inward normal, rhs) pairs
-    meaning normal . x >= rhs."""
-    dimension: int
-    vertices: tuple = ()
-    rays: tuple = ()       # () for bounded, else (d_start, d_end)
-    facets: tuple = ()
+    directions (() for bounded).  dimension > 2: facets as (inward
+    normal, rhs) pairs meaning normal . x >= rhs.  Every MomentPolytope
+    built is checked; equality is tuple equality."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dimension == 2:
-            if not self.vertices:
+    def __new__(cls, dimension, vertices=(), rays=(), facets=()):
+        if dimension == 2:
+            if not vertices:
                 raise AlmostToricError("polygon needs at least one vertex")
-            if self.rays and len(self.rays) != 2:
+            if rays and len(rays) != 2:
                 raise AlmostToricError("unbounded polygon carries exactly two ray directions")
-            if not self.rays and len(self.vertices) < 3:
+            if not rays and len(vertices) < 3:
                 raise AlmostToricError("bounded polygon needs at least three vertices")
-        elif self.dimension > 2:
-            if not self.facets:
+        elif dimension > 2:
+            if not facets:
                 raise AlmostToricError("H-representation needs facets")
         else:
             raise AlmostToricError("dimension must be at least 2")
+        return tuple.__new__(cls, (dimension, vertices, rays, facets))
 
 
-@dataclass(frozen=True)
-class NodalTrade:
-    target: object          # vertex index (2D) or (i, j) facet pair (nD)
-    chart: tuple = None     # (M, p): x -> M (x - p); derived for 2D corners if None
-    t: Fraction = Fraction(1)
+class NodalTrade(Validated, namedtuple("NodalTrade", "target chart t")):
+    """target: vertex index (2D) or (i, j) facet pair (nD); chart: (M, p)
+    for x -> M (x - p), derived for 2D corners if None; t > 0.  Every
+    NodalTrade built is checked; equality is tuple equality."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if Fraction(self.t) <= 0:
+    def __new__(cls, target, chart=None, t=Fraction(1)):
+        if Fraction(t) <= 0:
             raise AlmostToricError("singularity distance t must be positive")
+        return tuple.__new__(cls, (target, chart, t))
 
 
-@dataclass(frozen=True)
-class Singularity:
-    trade: NodalTrade
-    chart: tuple            # (M, p)
-    position: tuple         # 2D: point; nD: point on the singular locus
-    locus_basis: tuple      # () in 2D; basis of the codim-2 locus in nD
-    eigen: tuple            # primitive direction of the eigenline / plane
-    monodromy: tuple        # None above dimension 2
-
-
-@dataclass(frozen=True)
-class AlmostToricBase:
-    polytope: MomentPolytope
-    singularities: tuple
-    interactions: tuple
+# chart: (M, p); position: 2D point, or point on the singular locus in
+# nD; locus_basis: () in 2D, basis of the codim-2 locus in nD; eigen:
+# primitive direction of the eigenline / plane; monodromy: None above
+# dimension 2
+Singularity = namedtuple("Singularity", "trade chart position locus_basis eigen monodromy")
+AlmostToricBase = namedtuple("AlmostToricBase", "polytope singularities interactions")
 
 
 def _corner_edges(poly, i):

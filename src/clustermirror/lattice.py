@@ -3,7 +3,8 @@
 All core computation is over Z (python ints) or Q (fractions.Fraction);
 nothing here touches floating point.  Vectors are tuples of numbers,
 matrices are tuples of row tuples.  Values are immutable, functions are
-pure, so everything is safe to share.
+pure, so everything is safe to share.  The package's records are
+namedtuples, so they compare and hash as the tuples of their fields.
 
 mat_inv and solve_rational share one fraction-free Gauss-Jordan kernel
 over Z (_rref): rational input is scaled to integers row by row, the
@@ -17,8 +18,8 @@ Seed and LocalSystem built, on det(I - E_s) in local-system mutation
 and in verify, but not on the nodes an exchange graph derives.
 """
 
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -164,6 +165,19 @@ def malformed(error, what):
         raise error("malformed %s document: %s" % (what, e))
 
 
+class Validated:
+    """Base of a namedtuple record whose __new__ checks its fields.
+
+    namedtuple's _make, and _replace through it, build the tuple without
+    __new__; this _make goes through the class, so no unchecked record
+    can be built."""
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 def rational_strings(v):
     """Exact numbers written as strings such as "-3/4", for JSON output."""
     return [str(Fraction(x)) for x in v]
@@ -272,12 +286,9 @@ def unimodular_inverse(M):
     return tuple(tuple(x.numerator for x in row) for row in inv)
 
 
-@dataclass(frozen=True)
-class AffineSubspace:
-    """The solution set point + span(basis) of a consistent system;
-    basis is () when the solution is unique."""
-    point: tuple
-    basis: tuple
+# The solution set point + span(basis) of a consistent system; basis is
+# () when the solution is unique.
+AffineSubspace = namedtuple("AffineSubspace", "point basis")
 
 
 def solve_rational(A, b):

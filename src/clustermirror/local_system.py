@@ -34,12 +34,12 @@ single instance and then assert it across randomized rank-1 and rank-2
 systems.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import floor, lcm
 
-from .lattice import (as_int, bezout_complete, content, det, identity, malformed,
-                      mat_inv, mat_mul, rationals, rational_strings)
+from .lattice import (Validated, as_int, bezout_complete, content, det, identity,
+                      malformed, mat_inv, mat_mul, rationals, rational_strings)
 from .skeleton import circle_class, dehn_twist, intersection_number, skeleton_from_seed
 
 SIGN_TWIST = -1
@@ -74,9 +74,10 @@ def _commute(A, B):
     return mat_mul(A, B) == mat_mul(B, A)
 
 
-@dataclass(frozen=True)
-class LocalSystem:
-    holonomies: tuple    # one rank x rank matrix per torus loop, Fraction entries
+class LocalSystem(Validated, namedtuple("LocalSystem", "holonomies")):
+    """One rank x rank matrix with Fraction entries per torus loop; every
+    LocalSystem built is checked, and equality is tuple equality."""
+    __slots__ = ()
 
     @property
     def n(self):
@@ -86,21 +87,23 @@ class LocalSystem:
     def rank(self):
         return len(self.holonomies[0]) if self.holonomies else 0
 
-    def __post_init__(self):
-        rank = self.rank
-        for A in self.holonomies:
+    def __new__(cls, holonomies):
+        s = tuple.__new__(cls, (holonomies,))
+        rank = s.rank
+        for A in holonomies:
             if len(A) != rank or any(len(row) != rank for row in A):
                 raise LocalSystemError("holonomy has wrong shape")
         # A = N / q is invertible iff N is, and N / q, M / p commute iff
         # N, M do: both checks run over Z
-        scaled = [_over_z(A)[0] for A in self.holonomies]
+        scaled = [_over_z(A)[0] for A in holonomies]
         for N in scaled:
             if det(N) == 0:
                 raise LocalSystemError("holonomies must be invertible")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
+        for i in range(s.n):
+            for j in range(i + 1, s.n):
                 if not _commute(scaled[i], scaled[j]):
                     raise LocalSystemError("holonomies must commute")
+        return s
 
 
 def local_system(holonomies):

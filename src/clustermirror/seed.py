@@ -19,27 +19,27 @@ tests quantify over.
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
-from .lattice import (as_int, ints, is_unimodular, malformed, vec_add, vec_neg,
-                      vec_scale)
+from .lattice import (Validated, as_int, ints, is_unimodular, malformed, vec_add,
+                      vec_neg, vec_scale)
 
 
 class SeedError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Seed:
-    n: int
-    r: int
-    psi: tuple      # n vectors, each a tuple of n ints (columns of the basis)
-    B: tuple        # n x n skew-symmetric integer matrix
-    d: tuple        # n positive integers
+class Seed(Validated, namedtuple("Seed", "n r psi B d")):
+    """psi: n vectors, each a tuple of n ints (columns of the basis); B:
+    n x n skew-symmetric integer matrix; d: n positive integers.  Every
+    Seed built passes validate_seed; equality is tuple equality."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        validate_seed(self)
+    def __new__(cls, n, r, psi, B, d):
+        s = tuple.__new__(cls, (n, r, psi, B, d))
+        validate_seed(s)
+        return s
 
 
 def validate_seed(s):
@@ -60,15 +60,15 @@ def validate_seed(s):
         raise SeedError("psi must be a Z-basis (determinant +-1)")
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
-    eps: tuple
+class ExchangeMatrix(Validated, namedtuple("ExchangeMatrix", "eps")):
+    """A square matrix eps; equality is tuple equality."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        e = self.eps
-        n = len(e)
-        if any(len(row) != n for row in e):
+    def __new__(cls, eps):
+        n = len(eps)
+        if any(len(row) != n for row in eps):
             raise SeedError("exchange matrix must be square")
+        return tuple.__new__(cls, (eps,))
 
 
 def _column(psi, B, d, k):

@@ -17,12 +17,13 @@ intersection numbers of the circle classes equal the exchange matrix,
 
 The core test of the module is that this rule, pushed back through the
 circle/character dictionary, equals skeleton_from_seed of the mutated
-seed.
+seed.  The records are namedtuples, equal as tuples.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .lattice import as_int, content, ints, is_primitive, malformed, primitive_part
+from .lattice import (Validated, as_int, content, ints, is_primitive, malformed,
+                      primitive_part)
 from .toric_model import blowup_characters
 
 
@@ -30,23 +31,19 @@ class SkeletonError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Handle:
-    psi: tuple
-    chi: tuple
-    d: int
+Handle = namedtuple("Handle", "psi chi d")
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    n: int
-    handles: tuple
+class Skeleton(Validated, namedtuple("Skeleton", "n handles")):
+    """A rank-n torus with the given Handles; every Skeleton built is
+    checked, and equality is tuple equality."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n, handles):
+        if n < 2:
             raise SkeletonError("torus rank must be at least 2")
-        for h in self.handles:
-            if len(h.psi) != self.n or len(h.chi) != self.n:
+        for h in handles:
+            if len(h.psi) != n or len(h.chi) != n:
                 raise SkeletonError("handle data has wrong rank")
             if not is_primitive(h.psi) or not is_primitive(h.chi):
                 raise SkeletonError("handle character and cocharacter must be primitive")
@@ -54,13 +51,11 @@ class Skeleton:
                 raise SkeletonError("disk cocharacter must annihilate the handle character")
             if h.d < 1:
                 raise SkeletonError("handle multiplier must be positive")
+        return tuple.__new__(cls, (n, handles))
 
 
-@dataclass(frozen=True)
-class BondalStratum:
-    cone: tuple          # () for the zero cone, (i,) for ray i
-    torus_dim: int
-    components: int
+# cone: () for the zero cone, (i,) for ray i
+BondalStratum = namedtuple("BondalStratum", "cone torus_dim components")
 
 
 def skeleton_from_seed(s):

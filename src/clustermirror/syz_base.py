@@ -18,10 +18,11 @@ choice
 
 for any A in SL(2,Z) with A e1 = psi, such as lattice.bezout_complete(psi);
 the sign sigma is a single global constant (CONJUGATION_SIGN below) and
-tests assert it never varies.
+tests assert it never varies.  Both records are namedtuples, equal as
+tuples.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .lattice import is_primitive, rational_strings, transpose
@@ -35,18 +36,10 @@ CHARACTER = "character"
 COCHARACTER = "cocharacter"
 
 
-@dataclass(frozen=True)
-class AffineSingularity2D:
-    """The branch cut runs from position along +direction."""
-    position: tuple      # rational point
-    direction: tuple     # primitive integer eigen direction
-    monodromy: tuple
-
-
-@dataclass(frozen=True)
-class IntegralAffineBase2D:
-    singularities: tuple
-    convention: str
+# A rational point, a primitive integer eigen direction and the monodromy;
+# the branch cut runs from position along +direction.
+AffineSingularity2D = namedtuple("AffineSingularity2D", "position direction monodromy")
+IntegralAffineBase2D = namedtuple("IntegralAffineBase2D", "singularities convention")
 
 
 def monodromy_matrix(psi):

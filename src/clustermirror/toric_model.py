@@ -7,24 +7,13 @@ automatically (B is skew), the blowup locus is the subtorus
 {chi_i = -1} in the boundary divisor of ray i, and the local chart is
 presented by the relation x x' = y^chi + 1.  No ring or ideal
 computation happens here: the loci and presentations are strings that
-`seed model` prints.
+`seed model` prints.  Both records are namedtuples, equal as tuples.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-
-@dataclass(frozen=True)
-class StackyFan1D:
-    n: int
-    rays: tuple   # pairs (psi, d)
-
-
-@dataclass(frozen=True)
-class ToricModel:
-    fan: StackyFan1D
-    chi: tuple
-    loci: tuple
-    presentations: tuple
+StackyFan1D = namedtuple("StackyFan1D", "n rays")     # rays: pairs (psi, d)
+ToricModel = namedtuple("ToricModel", "fan chi loci presentations")
 
 
 def fan_from_seed(s):

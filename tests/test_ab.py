@@ -18,9 +18,15 @@ METRICS = {"ops_per_s": ("op/s", "higher"), "latency_p50_ms": ("ms", "lower")}
 
 def stub_runner(calls, change_ops):
     """A runner whose parent reads 100 + seed op/s and whose change reads
-    change_ops(seed); latency is 1000 / ops."""
+    change_ops(seed); latency is 1000 / ops.  The first run of each side
+    and workload, the warm-up, reads figures that would show in every
+    summary it leaked into."""
     def run(root, workload, seed, seconds):
+        warm_up = (root, workload) not in {c[:2] for c in calls}
         calls.append((root, workload, seed, seconds))
+        if warm_up:
+            return {"metrics": {"ops_per_s": 1e6, "latency_p50_ms": 1e-3},
+                    "attempted": 1000, "failed": 1000, "digest": "warm"}
         ops = change_ops(seed) if root == "C" else 100 + seed
         return {"metrics": {"ops_per_s": ops, "latency_p50_ms": 1000 / ops},
                 "attempted": 7, "failed": int(root == "C" and seed == 3),
@@ -32,8 +38,11 @@ def test_compare_alternates_and_summarizes():
     calls = []
     res = ab.compare({"parent": "P", "change": "C"}, ["w1", "w2"], 1, 10, 2.0, METRICS,
                      run=stub_runner(calls, lambda seed: 150 + seed if seed != 4 else 90))
-    assert [(c[0], c[2]) for c in calls[:4]] == [("P", 1), ("C", 1), ("C", 2), ("P", 2)]
-    assert len(calls) == 40 and {c[3] for c in calls} == {2.0}
+    # one warm-up per side and workload, at the first seed, before its pairs
+    assert calls[:2] == [("P", "w1", 1, 2.0), ("C", "w1", 1, 2.0)]
+    assert calls[22:24] == [("P", "w2", 1, 2.0), ("C", "w2", 1, 2.0)]
+    assert [(c[0], c[2]) for c in calls[2:6]] == [("P", 1), ("C", 1), ("C", 2), ("P", 2)]
+    assert len(calls) == 44 and {c[3] for c in calls} == {2.0}
     assert set(res) == {"w1", "w2"}
     w = res["w1"]
     assert set(w) == {"seeds", "first", "digests_equal", "attempted", "failed", "metrics"}
@@ -95,7 +104,7 @@ def test_main_writes_bench_file(tmp_path, monkeypatch):
     assert ab.main(["--parent", "HEAD~1", "--pr", "99", "--pairs", "3",
                     "--first-seed", "40"]) == 0
     # both sides run the change's perfbench; only the code under test differs
-    assert set(seen) == {("old", "new"), ("new", "new")} and len(seen) == 12
+    assert set(seen) == {("old", "new"), ("new", "new")} and len(seen) == 16
     doc = json.loads((tmp_path / "BENCH_99.json").read_text())
     assert set(doc) == {"pr", "python", "seconds", "pairs", "commits", "workloads"}
     assert (doc["pr"], doc["seconds"], doc["pairs"]) == (99, 3, 3)

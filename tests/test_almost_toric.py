@@ -85,9 +85,8 @@ def test_monodromy_trace_det_and_eigen():
 def test_corrupted_monodromy_fails_smoothness():
     base = apply_trades(QUADRANT, (NodalTrade(0),))
     sing = base.singularities[0]
-    import dataclasses
-    bad = dataclasses.replace(sing, monodromy=((1, 1), (0, 1)))
-    broken = dataclasses.replace(base, singularities=(bad,))
+    bad = sing._replace(monodromy=((1, 1), (0, 1)))
+    broken = base._replace(singularities=(bad,))
     assert smoothness_check(broken) == [False]
 
 

@@ -3,9 +3,10 @@
 Importing sympy costs several hundred milliseconds, and no subcommand
 needs it: `locsys transition` computes its chart functions in closed
 form.  `clustermirror.cli` imports only the standard library, and each
-subcommand imports the package modules it runs.  These checks need a
-fresh interpreter: the rest of the suite imports sympy and every
-package module in-process.
+subcommand imports the package modules it runs.  The records are
+namedtuples, so no subcommand loads `dataclasses` or, through it,
+`inspect`.  These checks need a fresh interpreter: the rest of the
+suite imports sympy and every package module in-process.
 """
 
 import json
@@ -47,9 +48,12 @@ for argv in (
         ["locsys", "mutate", "--locsys", tmp + "/ls.json", "--handle-class", "1,0"],
         ["locsys", "transition", "--seed", seed, "--k", "1"],
         ["verify", "--prng", "1", "--cases", "1"]):
+    before = set(sys.modules)
     rc = cli.main(argv)
     assert rc == 0, (argv, rc)
     assert "sympy" not in sys.modules, argv
+    added = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+    assert not added, (argv, added)
 """
 
 A2_TRANSITIONS = {

@@ -235,10 +235,11 @@ def rational_systems(draw):
 
 
 def _shape_and_types(x):
+    # AffineSubspace is a tuple too: test it first, so its type is compared
+    if isinstance(x, AffineSubspace):
+        return (type(x), [_shape_and_types(getattr(x, f)) for f in x._fields])
     if isinstance(x, (tuple, list)):
         return [_shape_and_types(y) for y in x]
-    if isinstance(x, AffineSubspace):
-        return (type(x), [_shape_and_types(getattr(x, f)) for f in x.__dataclass_fields__])
     return type(x)
 
 

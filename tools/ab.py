@@ -12,7 +12,10 @@ BENCHMARK.json, pair i runs
 
 once on each side: the parent first on even pairs, the change first on
 odd ones.  T is `run_seconds` in BENCHMARK.json.  Use seeds that were
-not used while the change was built.
+not used while the change was built.  Before the pairs of a workload,
+each side runs it once at seed S, untimed and left out of every figure:
+a fresh export has no byte code, and the run that compiles it reads
+more memory than the runs after it.
 
 `BENCH_<N>.json` is written at the root.  Per workload and end-to-end
 metric it holds each side's median, q1, q3 and runs (quartiles by
@@ -89,6 +92,8 @@ def compare(roots, workloads, first_seed, pairs, seconds, metrics, run=run_bench
     out = {}
     for workload in workloads:
         seeds = list(range(first_seed, first_seed + pairs))
+        for side in SIDES:
+            run(roots[side], workload, first_seed, seconds)    # warm-up, discarded
         runs = {side: [] for side in SIDES}
         first = []
         for i, seed in enumerate(seeds):
