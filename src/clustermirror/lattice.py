@@ -4,7 +4,7 @@ All core computation is over Z (python ints) or Q (fractions.Fraction);
 nothing here touches floating point.  Vectors are tuples of numbers,
 matrices are tuples of row tuples.  Values are immutable, functions are
 pure, so everything is safe to share.  The package's records are
-namedtuples, so they compare and hash as the tuples of their fields.
+namedtuples, so they compare as the tuples of their fields.
 
 mat_inv and solve_rational share one fraction-free Gauss-Jordan kernel
 over Z (_rref): rational input is scaled to integers row by row, the
