@@ -6,22 +6,19 @@ matrices are tuples of row tuples.  Values are immutable, functions are
 pure, so everything is safe to share.  The package's records are
 namedtuples, so they compare as the tuples of their fields.
 
-mat_inv and solve_rational share one fraction-free Gauss-Jordan kernel
-over Z (_rref): rational input is scaled to integers row by row, the
-elimination divides only exactly, and each result entry becomes one
-Fraction at the end.  One pivot step (_pivot) serves _rref and the
-exact LP feasibility test (feasible), whose simplex runs on it too.
-det keeps its own integer Bareiss loop, which clears below each pivot
-only, where _pivot also clears above it: through _pivot it ran 2-3
-times slower on random 3x3 to 6x6 integer matrices.  It runs on every
-Seed and LocalSystem built, on det(I - E_s) in local-system mutation
-and in verify, but not on the nodes an exchange graph derives.
+det, mat_inv and solve_rational share one fraction-free Gauss-Jordan
+kernel over Z (_rref): rational input is scaled to integers row by row,
+the elimination divides only exactly, and each result entry becomes one
+Fraction at the end.  det reads _rref's last pivot, which is the
+determinant of the scaled matrix, since a row swap negates the row it
+moves down.  One pivot step (_pivot) serves _rref and the exact LP
+feasibility test (feasible), whose simplex runs on it too.
 """
 
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 def identity(n):
@@ -128,8 +125,8 @@ def as_rational(x):
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except ZeroDivisionError as e:
-            raise ValueError(str(e))
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (x,))
     return Fraction(as_int(x))
 
 
@@ -169,8 +166,11 @@ class Validated:
     """Base of a namedtuple record whose __new__ checks its fields.
 
     namedtuple's _make, and _replace through it, build the tuple without
-    __new__; this _make goes through the class, so no unchecked record
-    can be built."""
+    __new__; this _make goes through the class, so every record a caller
+    builds is checked.  seed.mutate_sequence,
+    local_system.mutate_local_system and skeleton.disk_surgery build
+    theirs with tuple.__new__: each derives it from checked records in a
+    way their docstrings show keeps every check true."""
     __slots__ = ()
 
     @classmethod
@@ -186,39 +186,17 @@ def rational_strings(v):
 def det(M):
     """Exact determinant of an integer (or rational) square matrix.
 
-    Fraction-free Bareiss elimination; stays in Z for integer input.
-    Kept apart from _rref because every Seed and LocalSystem built runs
-    it: Bareiss clears only below each pivot, where _rref's
-    Gauss-Jordan also clears above it, and _rref took 2-3 times as long
-    on small matrices.
-    """
+    0 when a column has no pivot, else the last pivot of _rref divided by
+    the product of its row scales: an int when every scale is 1, so for
+    integer input, and a Fraction otherwise."""
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num // prev if isinstance(num, int) else num / prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(M):
-    return det(M) in (1, -1)
+    _, pivots, d = _rref(M, n)
+    if len(pivots) < n:
+        return 0
+    q = prod(lcm(*(x.denominator for x in row)) for row in M)
+    return d if q == 1 else Fraction(d, q)
 
 
 def _rref(rows, ncols):
@@ -229,9 +207,12 @@ def _rref(rows, ncols):
     pivot row) // prev, where pv is the new pivot, f the row's entry in
     the pivot column and prev the previous pivot.  Sylvester's identity
     makes every division exact, so all arithmetic stays in Z and each
-    entry is a minor of the scaled input.  At the end every pivot row
+    entry is, up to sign, a minor of the scaled input.  At the end every pivot row
     carries the same pivot d in its pivot column, and the reduced row
-    echelon form over Q is the returned rows divided by d.
+    echelon form over Q is the returned rows divided by d.  A row swap
+    negates the row it moves down, which keeps that form and the
+    determinant: d is that of the scaled rows when they are square and
+    of full rank.
 
     Returns the integer rows (lists), the pivot columns and d.
     """
@@ -246,7 +227,8 @@ def _rref(rows, ncols):
         piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], [-x for x in a[r]]
         prev = _pivot(a, r, c, prev)
         pivots.append(c)
     return a, pivots, prev

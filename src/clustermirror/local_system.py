@@ -76,7 +76,9 @@ def _commute(A, B):
 
 class LocalSystem(Validated, namedtuple("LocalSystem", "holonomies")):
     """One rank x rank matrix with Fraction entries per torus loop; every
-    LocalSystem built is checked, and equality is tuple equality."""
+    LocalSystem read from a document or built by a caller is checked,
+    while mutate_local_system derives its result unchecked.  Equality is
+    tuple equality."""
     __slots__ = ()
 
     @property
@@ -169,6 +171,11 @@ def mutate_local_system(ls, s):
     torus, adapted pair (E_s, (I - E_s) E_t)).  Each new holonomy and
     (I - E_s) E_t is one power product over Z (_power_product) whose
     first factor is I - E_s, so only E_s goes through holonomy_around.
+
+    The new LocalSystem is built unchecked, since its checks cannot fail:
+    every new holonomy is a rank x rank product of integer powers of
+    F = I - E_s and the E_i.  E_s is a product of the commuting E_i, so
+    all these factors commute pairwise, and F is invertible once w != 0.
     """
     if ls.n != 2:
         raise LocalSystemError("mutation implemented on the 2-torus only")
@@ -187,7 +194,7 @@ def mutate_local_system(ls, s):
     t = canonical_transversal(s)
     adapted = (E_s, _power_product(((factor, 1),) + tuple(zip(ls.holonomies, t)),
                                    ls.rank))
-    return LocalSystem(new_hol), adapted
+    return tuple.__new__(LocalSystem, (new_hol,)), adapted
 
 
 def mutate_symbolic(holonomies, s):

@@ -22,8 +22,8 @@ import os
 from collections import namedtuple
 from operator import mul
 
-from .lattice import (Validated, as_int, ints, is_unimodular, malformed, vec_add,
-                      vec_neg, vec_scale)
+from .lattice import (Validated, as_int, det, ints, malformed, vec_add, vec_neg,
+                      vec_scale)
 
 
 class SeedError(ValueError):
@@ -33,7 +33,9 @@ class SeedError(ValueError):
 class Seed(Validated, namedtuple("Seed", "n r psi B d")):
     """psi: n vectors, each a tuple of n ints (columns of the basis); B:
     n x n skew-symmetric integer matrix; d: n positive integers.  Every
-    Seed built passes validate_seed; equality is tuple equality."""
+    Seed read from a document or built by a caller passes validate_seed;
+    mutate_sequence derives its result without it.  Equality is tuple
+    equality."""
     __slots__ = ()
 
     def __new__(cls, n, r, psi, B, d):
@@ -56,7 +58,7 @@ def validate_seed(s):
     if len(s.d) != s.n or any(di < 1 for di in s.d):
         raise SeedError("multipliers must be positive")
     # psi holds the basis as rows; det is transpose-invariant
-    if not is_unimodular(s.psi):
+    if det(s.psi) not in (1, -1):
         raise SeedError("psi must be a Z-basis (determinant +-1)")
 
 
@@ -116,14 +118,18 @@ def mutate(s, k):
 def mutate_sequence(s, ks):
     """Mutations at the unfrozen indices ks, in order.
 
-    Each index is checked before its step, and only the final seed is
-    built and validated: the intermediate bases are never returned."""
+    Each index is checked before its step.  The result skips
+    validate_seed, since no check it makes can fail there: mutation at k
+    sends psi to E_k psi, where E_k is the identity but for column k,
+    E[i][k] = [eps_ik]_+ (i != k) and E[k][k] = -1, so det E_k = -1 and
+    psi stays a Z-basis; n, r, B and d are s's own, so the shape,
+    skew-symmetry and multiplier checks hold as they do on s."""
     psi = s.psi
     for k in ks:
         if not (0 <= k < s.r):
             raise SeedError("mutation only at unfrozen vectors")
         psi = _mutated_psi(psi, s.B, s.d, k)
-    return Seed(s.n, s.r, psi, s.B, s.d)
+    return tuple.__new__(Seed, (s.n, s.r, psi, s.B, s.d))
 
 
 def matrix_mutation_oracle(em, k):
@@ -211,15 +217,11 @@ def exchange_graph(s, depth):
     truncated=True; node_budget() sets the budget.
 
     Nodes are kept as bare bases psi, and no Seed is built for a node
-    the graph derives, so validate_seed never runs on one: no check it
-    makes can fail there.  Mutation at k sends psi to E_k psi, where E_k
-    is the identity but for column k, E[i][k] = [eps_ik]_+ (i != k) and
-    E[k][k] = -1, so det psi' = -det psi and every node stays a Z-basis
-    once s is one.  Mutation leaves n, r, B and d alone, so the shape,
-    skew-symmetry and multiplier checks s passed hold on every node.
-    Nodes are keyed by their sorted unfrozen (psi_i, d_i) pairs and
-    frozen psi: n, r, B and d are shared by every node, so this key is
-    equal exactly when _canonical_key is.
+    the graph derives, so validate_seed never runs on one: as
+    mutate_sequence shows, no check it makes can fail there.  Nodes are
+    keyed by their sorted unfrozen (psi_i, d_i) pairs and frozen psi: n,
+    r, B and d are shared by every node, so this key is equal exactly
+    when _canonical_key is.
 
     Every node document refers to the same B and d lists, built once,
     so the returned graph is read-only: a change to one node's "B" or

@@ -230,7 +230,8 @@ def test_locsys_zero_denominator_exit_2(tmp_path, capsys):
         {"rank": 1, "loops": 2, "holonomies": [[["1/0"]], [["3"]]]}))
     assert run(["locsys", "mutate", "--locsys", str(ls),
                 "--handle-class", "1,0"]) == 2
-    assert "malformed local system" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed local system" in err and "zero denominator in '1/0'" in err
 
 
 def test_polytope_zero_denominator_exit_2(tmp_path, capsys):
@@ -241,13 +242,16 @@ def test_polytope_zero_denominator_exit_2(tmp_path, capsys):
     assert run(["base", "trade", "--polytope", str(poly),
                 "--trades", str(FIXTURES / "bl0c2_trades.json"),
                 "--out", str(tmp_path / "x.svg")]) == 2
-    assert "malformed polytope" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed polytope" in err and "zero denominator in '1/0'" in err
 
 
-def test_base_syz_zero_denominator_exit_2(tmp_path):
+def test_base_syz_zero_denominator_exit_2(tmp_path, capsys):
     for flag, value in (("--radii", "1/0,1"), ("--viewport", "-3,-3,3,1/0")):
+        # flag=value: argparse would read a bare "-3,..." as an option
         assert run(["base", "syz", "--seed", str(FIXTURES / "a2_seed.json"),
-                    flag, value, "--out", str(tmp_path / "b.svg")]) == 2
+                    flag + "=" + value, "--out", str(tmp_path / "b.svg")]) == 2
+        assert "zero denominator in '1/0'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cases", ["0", "-5"])

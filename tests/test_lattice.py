@@ -32,6 +32,10 @@ def test_det_examples():
     assert det(((1, 1), (0, 1))) == 1
     assert det(((2, 1), (-1, 0))) == 1
     assert det(tuple(tuple(int(i == j) for j in range(4)) for i in range(4))) == 1
+    assert det(((0, 1), (1, 0))) == -1                  # needs a row swap
+    assert det(((1, 2, 3), (4, 5, 6), (7, 8, 9))) == 0
+    half = det(((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 4), 1)))
+    assert half == Fraction(5, 12) and type(half) is Fraction
     with pytest.raises(ValueError):
         det(((1, 2, 3), (4, 5, 6)))
 
@@ -163,28 +167,35 @@ def test_unimodular_inverse(M):
 
 
 def _oracle_rref(rows, ncols):
-    """Plain Gauss-Jordan over Q with a Fraction division per entry."""
+    """Plain Gauss-Jordan over Q with a Fraction division per entry.
+
+    Returns the reduced rows, the pivot columns and the product of the
+    pivots, negated once per row swap."""
     a = [[Fraction(x) for x in row] for row in rows]
     pivots = []
+    signed = Fraction(1)
     for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            signed = -signed
         pv = a[r][c]
+        signed *= pv
         a[r] = [x / pv for x in a[r]]
         for i in range(len(a)):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
-    return a, pivots
+    return a, pivots, signed
 
 
 def _oracle_inv(M):
     n = len(M)
-    a, pivots = _oracle_rref([list(row) + [int(i == j) for j in range(n)]
+    a, pivots, _ = _oracle_rref([list(row) + [int(i == j) for j in range(n)]
                               for i, row in enumerate(M)], n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
@@ -193,7 +204,7 @@ def _oracle_inv(M):
 
 def _oracle_solve(A, b):
     n = len(A[0])
-    aug, pivots = _oracle_rref([list(row) + [rhs] for row, rhs in zip(A, b)], n)
+    aug, pivots, _ = _oracle_rref([list(row) + [rhs] for row, rhs in zip(A, b)], n)
     if any(row[n] != 0 for row in aug[len(pivots):]):
         return None
     point = [Fraction(0)] * n
@@ -251,6 +262,8 @@ def test_kernels_match_fraction_gauss_jordan(system):
     assert got == want
     assert _shape_and_types(got) == _shape_and_types(want)
     if len(A) == len(A[0]):
+        _, pivots, signed = _oracle_rref(A, len(A))
+        assert det(A) == (signed if len(pivots) == len(A) else 0)
         try:
             want = _oracle_inv(A)
         except ValueError:

@@ -9,15 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clustermirror.lattice import det, identity, mat_inv, mat_mul
-from clustermirror.local_system import (LocalSystemError, NotMutable,
+from clustermirror.local_system import (LocalSystem, LocalSystemError, NotMutable,
                                         SIGN_TWIST, _transition_text,
                                         canonical_transversal,
                                         chart_transition, holonomy_around,
                                         local_system, mutate_local_system,
                                         mutate_symbolic)
 from clustermirror.seed import Seed
+from clustermirror.skeleton import Skeleton, disk_surgery, skeleton_from_seed
 from clustermirror.verify import (coherence_law_holds, _random_commuting_pair,
-                                  random_primitive)
+                                  random_2d_standard_seed, random_primitive)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 A2 = Seed(2, 2, ((1, 0), (0, 1)), ((0, 1), (-1, 0)), (1, 1))
@@ -157,8 +158,22 @@ def test_outputs_commute_and_invert():
         if not _mutable(ls, s):
             continue
         out, _ = mutate_local_system(ls, s)
-        # constructor re-checks commutativity and invertibility
+        # rebuilt through the constructor, which checks both
+        assert LocalSystem(out.holonomies) == out
         assert out.rank == ls.rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(commuting_holonomies(), st.randoms(use_true_random=False), st.integers(0, 1))
+def test_derived_records_pass_their_checks(hol, rng, k):
+    # mutate_local_system and disk_surgery build their results unchecked;
+    # rebuilt through the checking constructors, they pass and are equal
+    ls, s = local_system(hol[:2]), random_primitive(rng)
+    assume(_mutable(ls, s))
+    out, _ = mutate_local_system(ls, s)
+    assert LocalSystem(out.holonomies) == out
+    sk = disk_surgery(skeleton_from_seed(random_2d_standard_seed(rng)), k)
+    assert Skeleton(sk.n, sk.handles) == sk
 
 
 def test_double_mutation_law_rank1():
