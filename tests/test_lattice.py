@@ -196,7 +196,7 @@ def _oracle_rref(rows, ncols):
 def _oracle_inv(M):
     n = len(M)
     a, pivots, _ = _oracle_rref([list(row) + [int(i == j) for j in range(n)]
-                              for i, row in enumerate(M)], n)
+                                 for i, row in enumerate(M)], n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in a)
