@@ -95,18 +95,15 @@ def _corner_edges(poly, i):
     vs = poly.vertices
     if i < 0 or i >= len(vs):
         raise AlmostToricError("no such vertex")
-    if i > 0:
-        back = primitive_part(vec_sub(vs[i - 1], vs[i]))
-    elif poly.rays:
+    # vs[i - 1] is vs[-1] at i = 0; a ray leaves only an end of an unbounded chain
+    if i == 0 and poly.rays:
         back = poly.rays[0]
     else:
-        back = primitive_part(vec_sub(vs[-1], vs[i]))
-    if i < len(vs) - 1:
-        fwd = primitive_part(vec_sub(vs[i + 1], vs[i]))
-    elif poly.rays:
+        back = primitive_part(vec_sub(vs[i - 1], vs[i]))
+    if i == len(vs) - 1 and poly.rays:
         fwd = poly.rays[1]
     else:
-        fwd = primitive_part(vec_sub(vs[0], vs[i]))
+        fwd = primitive_part(vec_sub(vs[(i + 1) % len(vs)], vs[i]))
     return back, fwd
 
 
@@ -283,7 +280,7 @@ def smoothness_check(base):
 def _eigen_equation(sing):
     """normal . x = rhs for the eigenline (2D) or eigenhyperplane (nD)
     through the singular locus."""
-    if len(sing.eigen) == 2 and not sing.locus_basis:
+    if not sing.locus_basis:    # 2D: an nD locus has n - 2 >= 1 basis rows
         nrm = circle_class(sing.eigen)
     else:
         M, _p = sing.chart

@@ -46,10 +46,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
-
-
 def vec_neg(v):
     return tuple(-a for a in v)
 

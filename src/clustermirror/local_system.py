@@ -36,7 +36,7 @@ systems.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import floor, lcm
+from math import lcm
 
 from .lattice import (Validated, as_int, bezout_complete, content, det, identity,
                       malformed, mat_inv, mat_mul, rationals, rational_strings)
@@ -160,7 +160,9 @@ def canonical_transversal(s):
     a, b = s
     # bezout_complete(s) = [s t0] has det 1, so <t0, s> = -1
     t0 = tuple(row[1] for row in bezout_complete(s))
-    lam = floor(Fraction(t0[0] * a + t0[1] * b, a * a + b * b) + Fraction(1, 2))
+    # floor(t0.s / |s|^2 + 1/2), exact over Z since |s|^2 > 0
+    norm = a * a + b * b
+    lam = (2 * (t0[0] * a + t0[1] * b) + norm) // (2 * norm)
     return (t0[0] - lam * a, t0[1] - lam * b)
 
 

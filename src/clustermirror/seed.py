@@ -22,8 +22,7 @@ import os
 from collections import namedtuple
 from operator import mul
 
-from .lattice import (Validated, as_int, det, ints, malformed, vec_add, vec_neg,
-                      vec_scale)
+from .lattice import Validated, as_int, det, ints, malformed
 
 
 class SeedError(ValueError):
@@ -104,9 +103,9 @@ def _mutated_psi(psi, B, d, k):
     """The basis psi after mutation at k, with no check of k or of the
     result; callers check both."""
     pk = psi[k]
-    new_psi = [vec_add(p, vec_scale(c, pk)) if c > 0 else p
+    new_psi = [tuple(a + c * b for a, b in zip(p, pk)) if c > 0 else p
                for p, c in zip(psi, _column(psi, B, d, k))]
-    new_psi[k] = vec_neg(pk)
+    new_psi[k] = tuple(-a for a in pk)
     return tuple(new_psi)
 
 
@@ -159,23 +158,19 @@ def seed_equivalent(s1, s2):
     The frozen part must match on the nose; B must be identical.  This is
     the equivalence exchange_graph identifies nodes by.
     """
-    return _canonical_key(s1) == _canonical_key(s2)
+    return ((s1.n, s1.r, s1.B, s1.d[s1.r:]) == (s2.n, s2.r, s2.B, s2.d[s2.r:])
+            and _node_key(s1.psi, s1.r, s1.d) == _node_key(s2.psi, s2.r, s2.d))
 
 
-def _canonical_key(s):
-    unfrozen = tuple(sorted(zip(s.psi[:s.r], s.d[:s.r])))
-    return (s.n, s.r, unfrozen, s.psi[s.r:], s.d[s.r:], s.B)
-
-
-def _node_doc(n, r, psi, B, d):
-    """The document of one seed, with psi as fresh lists and the given
-    B and d lists as they are."""
-    return {"rank": n, "unfrozen": r, "psi": [list(p) for p in psi], "B": B, "d": d}
+def _node_key(psi, r, d):
+    """The sorted unfrozen (psi_i, d_i) pairs and the frozen psi."""
+    return tuple(sorted(zip(psi[:r], d[:r]))), psi[r:]
 
 
 def serialize_seed(s):
     """The document of s; every list in it is fresh."""
-    return _node_doc(s.n, s.r, s.psi, [list(row) for row in s.B], list(s.d))
+    return {"rank": s.n, "unfrozen": s.r, "psi": [list(p) for p in s.psi],
+            "B": [list(row) for row in s.B], "d": list(s.d)}
 
 
 def deserialize_seed(doc):
@@ -219,9 +214,7 @@ def exchange_graph(s, depth):
     Nodes are kept as bare bases psi, and no Seed is built for a node
     the graph derives, so validate_seed never runs on one: as
     mutate_sequence shows, no check it makes can fail there.  Nodes are
-    keyed by their sorted unfrozen (psi_i, d_i) pairs and frozen psi: n,
-    r, B and d are shared by every node, so this key is equal exactly
-    when _canonical_key is.
+    keyed by _node_key, since n, r, B and d are shared by every node.
 
     Every node document refers to the same B and d lists, built once,
     so the returned graph is read-only: a change to one node's "B" or
@@ -230,14 +223,9 @@ def exchange_graph(s, depth):
     if depth < 0:
         raise SeedError("depth must be nonnegative")
     budget = node_budget()
-    n, r, B, d = s.n, s.r, s.B, s.d
-    d_unfrozen = d[:r]
-
-    def key(psi):
-        return tuple(sorted(zip(psi[:r], d_unfrozen))), psi[r:]
-
-    nodes = [s.psi]           # bases in discovery order
-    index = {key(s.psi): 0}   # node key -> node id
+    r, B, d = s.r, s.B, s.d
+    nodes = [s.psi]                      # bases in discovery order
+    index = {_node_key(s.psi, r, d): 0}  # node key -> node id
     edges = set()
     truncated = False
     frontier = [0]
@@ -249,7 +237,7 @@ def exchange_graph(s, depth):
             psi = nodes[nid]
             for k in range(r):
                 child = _mutated_psi(psi, B, d, k)
-                ckey = key(child)
+                ckey = _node_key(child, r, d)
                 if ckey in index:
                     edges.add((nid, index[ckey], k))
                 else:
@@ -269,9 +257,9 @@ def exchange_graph(s, depth):
             index[ckey] = cid
             frontier.append(cid)
             edges.add((src, cid, k))
-    B_doc, d_doc = [list(row) for row in B], list(d)
+    doc = serialize_seed(s)
     return {
-        "nodes": [_node_doc(n, r, psi, B_doc, d_doc) for psi in nodes],
+        "nodes": [dict(doc, psi=[list(p) for p in psi]) for psi in nodes],
         "edges": [
             {"source": a, "target": b, "mutation": k}
             for a, b, k in sorted(edges)

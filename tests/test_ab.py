@@ -13,7 +13,7 @@ spec = importlib.util.spec_from_file_location("ab", TOOL)
 ab = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab)
 
-METRICS = {"ops_per_s": ("op/s", "higher"), "latency_p50_ms": ("ms", "lower")}
+METRICS = {"ops_per_s": ("op/s", "higher", 0.25), "latency_p50_ms": ("ms", "lower", 0.25)}
 
 
 def stub_runner(calls, change_ops):
@@ -52,12 +52,13 @@ def test_compare_alternates_and_summarizes():
     assert w["attempted"] == {"parent": 70, "change": 70}
     assert w["failed"] == {"parent": 0, "change": 1}
     ops = w["metrics"]["ops_per_s"]
-    assert set(ops) == {"unit", "better", "parent", "change", "wins", "gain_shown"}
+    assert set(ops) == {"unit", "better", "parent", "change", "wins", "gain_shown",
+                        "verdict"}
     assert (ops["unit"], ops["better"], ops["wins"]) == ("op/s", "higher", 9)
     assert ops["parent"] == {"median": 105.5, "q1": 103.25, "q3": 107.75,
                              "runs": [101, 102, 103, 104, 105, 106, 107, 108, 109, 110]}
     assert ops["change"]["median"] == 155.5
-    assert ops["gain_shown"]
+    assert ops["gain_shown"] and ops["verdict"] == "within bound"
     lat = w["metrics"]["latency_p50_ms"]
     assert lat["better"] == "lower" and lat["wins"] == 9 and lat["gain_shown"]
 
@@ -75,6 +76,28 @@ def test_gain_needs_nine_wins_in_ten_and_more_than_the_parent_spread():
     assert ties["wins"] == 0 and not ties["gain_shown"]
 
 
+def test_verdict_from_the_bound():
+    # the parent reads 101..110 op/s: median 105.5, q3 - q1 = 4.5, a
+    # spread of 0.043 of the median
+    def verdict(change_ops, bound):
+        metrics = {"ops_per_s": ("op/s", "higher", bound),
+                   "latency_p50_ms": ("ms", "lower", bound)}
+        res = ab.compare({"parent": "P", "change": "C"}, ["w"], 1, 10, 1, metrics,
+                         run=stub_runner([], change_ops))["w"]["metrics"]
+        return res["ops_per_s"]["verdict"], res["latency_p50_ms"]["verdict"]
+    # ops 30% below the parent's, so latency 43% above it
+    worse = lambda seed: 0.7 * (100 + seed)
+    assert verdict(worse, 0.25) == ("regressed", "regressed")
+    assert verdict(worse, 0.35) == ("within bound", "regressed")
+    assert verdict(worse, 0.5) == ("within bound", "within bound")
+    # a 10% loss sits inside a 25% bound, whatever the spread
+    assert verdict(lambda seed: 0.9 * (100 + seed), 0.25) == ("within bound",) * 2
+    # a spread wider than the bound hides a regression of its size ...
+    assert verdict(lambda seed: 100 + seed + 0.5, 0.01) == ("unresolved",) * 2
+    # ... unless every change run beats every parent run
+    assert verdict(lambda seed: 150 + seed, 0.01) == ("within bound",) * 2
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_main_writes_bench_file(tmp_path, monkeypatch):
     def git(*args):
@@ -83,7 +106,8 @@ def test_main_writes_bench_file(tmp_path, monkeypatch):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 3, "workloads": [{"name": "w1"}, {"name": "w2"}],
-        "end_to_end": [{"name": n, "unit": u, "better": b} for n, (u, b) in METRICS.items()]}))
+        "end_to_end": [{"name": n, "unit": u, "better": b, "bound": x}
+                       for n, (u, b, x) in METRICS.items()]}))
     git("init", "-q")
     for version in ("old", "new"):
         (tmp_path / "src.txt").write_text(version)
@@ -117,3 +141,4 @@ def test_main_writes_bench_file(tmp_path, monkeypatch):
     assert w["seeds"] == [40, 41, 42] and w["digests_equal"] == 3
     assert w["metrics"]["ops_per_s"]["wins"] == 3
     assert set(w["metrics"]) == set(METRICS)
+    assert w["metrics"]["ops_per_s"]["verdict"] == "within bound"

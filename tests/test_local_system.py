@@ -1,14 +1,15 @@
 import json
 import random
 from fractions import Fraction
+from math import floor, gcd
 from pathlib import Path
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from clustermirror.lattice import det, identity, mat_inv, mat_mul
+from clustermirror.lattice import bezout_complete, det, identity, mat_inv, mat_mul
 from clustermirror.local_system import (LocalSystem, LocalSystemError, NotMutable,
                                         SIGN_TWIST, _transition_text,
                                         canonical_transversal,
@@ -122,6 +123,20 @@ def test_canonical_transversal():
     for s in ((1, 1), (2, 1), (3, -2), (-1, 4)):
         t = canonical_transversal(s)
         assert t[0] * s[1] - t[1] * s[0] == -1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)))
+@example((1, 1))            # t0.s / |s|^2 + 1/2 lands on an integer
+@example((-1, 1))
+@example((3, -1))
+def test_canonical_transversal_matches_fraction_rounding(s):
+    # the Gram rounding floor(t0.s / |s|^2 + 1/2) taken over Q
+    assume(gcd(*s) == 1)
+    a, b = s
+    t0 = tuple(row[1] for row in bezout_complete(s))
+    lam = floor(Fraction(t0[0] * a + t0[1] * b, a * a + b * b) + Fraction(1, 2))
+    assert canonical_transversal(s) == (t0[0] - lam * a, t0[1] - lam * b)
 
 
 def test_mutation_adapted_fixture():

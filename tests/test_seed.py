@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,54 @@ def graph_seeds(draw):
         if i != j:
             psi[i] = [a + c * b for a, b in zip(psi[i], psi[j])]
     return Seed(n, r, tuple(map(tuple, psi)), tuple(map(tuple, B)), d)
+
+
+@st.composite
+def permuted_seed_pairs(draw):
+    """A seed s and the seed t made from s by permuting its unfrozen
+    (psi_i, d_i) pairs and, half the time, one perturbation: the d of two
+    unfrozen vectors swapped, one psi_i negated, or one frozen entry
+    changed (a frozen d raised by 1, or another basis vector added to a
+    frozen psi_i, so t stays a seed)."""
+    s = draw(graph_seeds())
+    n, r = s.n, s.r
+    perm = draw(st.permutations(range(r)))
+    psi = [s.psi[i] for i in perm] + list(s.psi[r:])
+    d = [s.d[i] for i in perm] + list(s.d[r:])
+    change = draw(st.sampled_from([None, None, None, "swap d", "negate", "frozen"]))
+    if change == "swap d" and r >= 2:
+        i, j = draw(st.permutations(range(r)))[:2]
+        d[i], d[j] = d[j], d[i]
+    elif change == "negate":
+        i = draw(st.integers(0, n - 1))
+        psi[i] = tuple(-a for a in psi[i])
+    elif change == "frozen" and r < n:
+        i = draw(st.integers(r, n - 1))
+        if draw(st.booleans()):
+            d[i] += 1
+        else:
+            j = draw(st.integers(0, n - 2))
+            j += j >= i
+            psi[i] = tuple(a + b for a, b in zip(psi[i], psi[j]))
+    return s, Seed(n, r, tuple(psi), s.B, tuple(d))
+
+
+def _equivalent_by_search(s, t):
+    """seed_equivalent's definition, decided by trying every permutation
+    of the unfrozen indices."""
+    if (s.n, s.r, s.B, s.psi[s.r:], s.d[s.r:]) != (t.n, t.r, t.B, t.psi[t.r:], t.d[t.r:]):
+        return False
+    return any(all((s.psi[p], s.d[p]) == (t.psi[i], t.d[i]) for i, p in enumerate(perm))
+               for perm in permutations(range(s.r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(permuted_seed_pairs())
+def test_seed_equivalent_matches_permutation_search(pair):
+    s, t = pair
+    expected = _equivalent_by_search(s, t)
+    assert seed_equivalent(s, t) == expected
+    assert seed_equivalent(t, s) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,0 +1,65 @@
+"""Each verify suite catches a fault planted in the code it checks.
+
+A suite that passes whatever the code does checks nothing, so each one
+is run against a deliberately broken copy of one function or constant,
+patched where the suite's code looks it up, and must report failures.
+"""
+
+import random
+
+import pytest
+
+from clustermirror import almost_toric, seed, skeleton, verify
+from clustermirror.lattice import transpose
+
+CASES = 50
+ORIGINAL_COLUMN = seed._column
+ORIGINAL_MONODROMY = verify.monodromy_matrix
+ORIGINAL_TRANSPORT = almost_toric.transport_matrix
+
+
+def _column_d0(psi, B, d, k):
+    # reads d[0] for every d[k]
+    return ORIGINAL_COLUMN(psi, B, d[:1] * len(d), k)
+
+
+def _dehn_twist_flipped(c, about):
+    m = skeleton.intersection_number(c, about)
+    return (c[0] - m * about[0], c[1] - m * about[1])
+
+
+def _monodromy_diagonal_swapped(psi):
+    (a, b), (c, e) = ORIGINAL_MONODROMY(psi)
+    return ((e, b), (c, a))
+
+
+def _transport_transposed(sing):
+    return transpose(ORIGINAL_TRANSPORT(sing))
+
+
+FAULTS = [
+    ("epsilon", seed, "_column", _column_d0),
+    ("dictionary", skeleton, "dehn_twist", _dehn_twist_flipped),
+    ("duality", verify, "monodromy_matrix", _monodromy_diagonal_swapped),
+    ("smoothness", almost_toric, "transport_matrix", _transport_transposed),
+    ("coherence", verify, "SIGN_TWIST", 1),
+]
+
+
+def _run(suite):
+    return verify.SUITES[suite](random.Random(1), CASES)
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_suite_passes_on_the_code_as_it_is(suite):
+    report = _run(suite)
+    assert report["passed"] is True and report["failures"] == []
+
+
+@pytest.mark.parametrize("suite, module, name, fault", FAULTS,
+                         ids=["%s-%s" % (f[0], f[2]) for f in FAULTS])
+def test_suite_catches_planted_fault(monkeypatch, suite, module, name, fault):
+    monkeypatch.setattr(module, name, fault)
+    report = _run(suite)
+    assert report["passed"] is False
+    assert report["failures"]

@@ -22,10 +22,15 @@ metric it holds each side's median, q1, q3 and runs (quartiles by
 `statistics.quantiles(method="inclusive")`), the change's wins out of
 the pairs (ties count for neither side) and `gain_shown`: the change won
 at least nine pairs in ten and the medians differ, the better way, by
-more than the parent's q3 - q1.  Per workload it also holds the seeds,
-which side ran first, the pairs whose run digests are equal, and the
-attempted and failed answers of each side; at the top, both commits and
-the Python version.
+more than the parent's q3 - q1.  Each metric also gets a `verdict` from
+its `bound` in BENCHMARK.json: "regressed" when the change's median is
+worse than the parent's by more than the bound (relative to the parent's
+median); else "unresolved" when the parent's (q3 - q1) / median exceeds
+the bound and not every change run beats every parent run, since such a
+spread hides a regression of the bound's size; else "within bound".
+Per workload it also holds the seeds, which side ran first, the pairs
+whose run digests are equal, and the attempted and failed answers of
+each side; at the top, both commits and the Python version.
 """
 
 import argparse
@@ -85,10 +90,23 @@ def spread(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(sp, sc, sign, bound):
+    """The bound verdict on one metric, from each side's spread; sign is
+    1 if higher is better, else -1."""
+    p = sp["median"]
+    if sign * (p - sc["median"]) > bound * abs(p):
+        return "regressed"
+    if (sp["q3"] - sp["q1"] > bound * abs(p)
+            and not all(sign * (b - a) > 0 for a in sp["runs"] for b in sc["runs"])):
+        return "unresolved"
+    return "within bound"
+
+
 def compare(roots, workloads, first_seed, pairs, seconds, metrics, run=run_bench,
             log=None):
     """Run the pairs and summarize them.  roots maps each side to its
-    checkout; metrics maps each end-to-end metric to (unit, better)."""
+    checkout; metrics maps each end-to-end metric to (unit, better,
+    bound)."""
     out = {}
     for workload in workloads:
         seeds = list(range(first_seed, first_seed + pairs))
@@ -106,7 +124,7 @@ def compare(roots, workloads, first_seed, pairs, seconds, metrics, run=run_bench
                     log("%s seed %d %s: %s" % (workload, seed, side, ", ".join(
                         "%s %.4g" % (k, m[k]) for k in metrics if k in m)))
         summary = {}
-        for name, (unit, better) in metrics.items():
+        for name, (unit, better, bound) in metrics.items():
             p = [r["metrics"][name] for r in runs["parent"]]
             c = [r["metrics"][name] for r in runs["change"]]
             sign = 1 if better == "higher" else -1
@@ -116,6 +134,7 @@ def compare(roots, workloads, first_seed, pairs, seconds, metrics, run=run_bench
                 "unit": unit, "better": better, "parent": sp, "change": sc, "wins": wins,
                 "gain_shown": (wins >= 0.9 * pairs
                                and sign * (sc["median"] - sp["median"]) > sp["q3"] - sp["q1"]),
+                "verdict": verdict(sp, sc, sign, bound),
             }
         out[workload] = {
             "seeds": seeds,
@@ -138,7 +157,7 @@ def main(argv=None):
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--first-seed", type=int, required=True)
     args = p.parse_args(argv)
-    metrics = {m["name"]: (m["unit"], m["better"]) for m in bench["end_to_end"]}
+    metrics = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     # resolved once, so that a commit made during the run changes nothing
     commits = {side: {"ref": ref, "commit": git("rev-parse", ref).decode().strip()}
@@ -168,10 +187,11 @@ def main(argv=None):
     for workload, res in results.items():
         for name, m in res["metrics"].items():
             print("%-14s %-15s parent %10.4f [%.4f-%.4f]  change %10.4f [%.4f-%.4f]  "
-                  "wins %d/%d%s" % (workload, name, m["parent"]["median"], m["parent"]["q1"],
-                                    m["parent"]["q3"], m["change"]["median"],
-                                    m["change"]["q1"], m["change"]["q3"], m["wins"],
-                                    args.pairs, "  gain shown" if m["gain_shown"] else ""))
+                  "wins %d/%d  %s%s" % (workload, name, m["parent"]["median"], m["parent"]["q1"],
+                                        m["parent"]["q3"], m["change"]["median"],
+                                        m["change"]["q1"], m["change"]["q3"], m["wins"],
+                                        args.pairs, m["verdict"],
+                                        "  gain shown" if m["gain_shown"] else ""))
         print("%-14s digests equal %d/%d, failed %d/%d" % (
             workload, res["digests_equal"], args.pairs, res["failed"]["parent"],
             res["failed"]["change"]))
