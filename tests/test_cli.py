@@ -48,6 +48,18 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+def test_non_utf8_input_exit_2(tmp_path, capsys, monkeypatch):
+    # JSON text is UTF-8 whatever the locale: with Latin-1 as the default
+    # encoding a UTF-16 document is still refused, with its path named
+    def latin1_default_open(file, mode="r", encoding="latin-1", **kw):
+        return open(file, mode, encoding=encoding, **kw)
+    monkeypatch.setattr(cli, "open", latin1_default_open, raising=False)
+    bad = tmp_path / "seed.json"
+    bad.write_bytes(b"\xff\xfe" + (FIXTURES / "a2_seed.json").read_text().encode("utf-16-le"))
+    assert run(["seed", "mutate", "--seed", str(bad), "--sequence", "1"]) == 2
+    assert "%s: not UTF-8 text" % bad in capsys.readouterr().err
+
+
 def test_seed_graph_and_model(tmp_path):
     g = tmp_path / "g.json"
     assert run(["seed", "graph", "--seed", str(FIXTURES / "a2_seed.json"),
@@ -388,6 +400,22 @@ def test_failed_request_leaves_no_partial_output(tmp_path, argv):
     svg.write_text("old")
     assert run(argv + ["--out", str(svg), "--json", str(no_json)]) == 2
     assert svg.read_text() == "old"
+
+
+def test_two_outputs_naming_one_file_exit_2(tmp_path, capsys):
+    # the JSON then the SVG in one file would be neither; nothing is written
+    f = tmp_path / "F"
+    f.write_text("old")
+    assert run(["base", "syz", "--seed", A2, "--out", str(f), "--json", str(f)]) == 2
+    assert "cannot write %s: the same file as %s" % (f, f) in capsys.readouterr().err
+    assert f.read_text() == "old"
+    # two spellings of one new path: the file the request created goes
+    g = tmp_path / "G"
+    assert run(["base", "syz", "--seed", A2, "--out", str(g),
+                "--json", str(tmp_path / "." / "G")]) == 2
+    assert not g.exists()
+    # standard output may take both
+    assert run(["base", "syz", "--seed", A2, "--out", "-", "--json", "-"]) == 0
 
 
 def test_shorter_output_replaces_longer_file(tmp_path):

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import random
+import tempfile
 from itertools import permutations
 from pathlib import Path
 
@@ -153,6 +156,8 @@ def test_graph_depth6_frozen():
 
 @pytest.mark.parametrize("seed, depth, budget, golden", [
     ("a2_seed.json", 6, None, "a2_graph_depth6.json"),
+    # depth 0: the input seed alone, and "edges": []
+    ("a2_seed.json", 0, None, "a2_graph_depth0.json"),
     # rank 4, one frozen vector, multipliers (1, 2, 1, 3); the budget cuts
     # a layer short, so the order of new nodes decides which ones are kept
     ("rank4_frozen_seed.json", 10, "40", "rank4_frozen_graph.json"),
@@ -368,6 +373,28 @@ def test_graph_nodes_share_B_and_d():
     for node in g["nodes"]:
         assert node["B"] is first["B"] and node["d"] is first["d"]
     assert g["nodes"][0] == serialize_seed(A2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_seeds(), st.integers(0, 8), st.integers(1, 60))
+@example(A2, 0, 60)                                                      # "edges": []
+@example(Seed(3, 0, ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+              ((0, 1, 0), (-1, 0, 1), (0, -1, 0)), (1, 2, 1)), 3, 60)   # unfrozen = 0
+@example(A2, 3, 1)                                                       # truncated
+@example(A2, 6, 60)                                                      # 46 nodes
+def test_graph_output_matches_json_dumps(s, depth, budget):
+    # seed graph writes the graph from one node text; its bytes are
+    # still those of json.dumps on the whole graph
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setenv("CLUSTERMIRROR_BUDGET", str(budget))
+        path = Path(tmp) / "seed.json"
+        path.write_text(json.dumps(serialize_seed(s)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["seed", "graph", "--seed", str(path),
+                             "--depth", str(depth)]) == 0
+        g = exchange_graph(s, depth)
+    assert out.getvalue() == json.dumps(g, indent=2, sort_keys=True) + "\n"
 
 
 def test_serialize_seed_returns_fresh_lists():
