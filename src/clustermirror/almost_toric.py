@@ -90,8 +90,9 @@ Singularity = namedtuple("Singularity", "trade chart position locus_basis eigen 
 AlmostToricBase = namedtuple("AlmostToricBase", "polytope singularities interactions")
 
 
-def _corner_edges(poly, i):
-    """The two primitive boundary directions leaving vertex i."""
+def _corner_basis(poly, i):
+    """The two primitive boundary directions leaving vertex i, as
+    (lo, hi) with <lo, hi> = 1."""
     vs = poly.vertices
     if i < 0 or i >= len(vs):
         raise AlmostToricError("no such vertex")
@@ -104,25 +105,21 @@ def _corner_edges(poly, i):
         fwd = poly.rays[1]
     else:
         fwd = primitive_part(vec_sub(vs[(i + 1) % len(vs)], vs[i]))
-    return back, fwd
+    d = intersection_number(back, fwd)
+    if d not in (1, -1):
+        raise AlmostToricError("corner not integral-affine standard")
+    return (back, fwd) if d == 1 else (fwd, back)
 
 
 def smoothable_corner_chart(poly, vertex):
     """Unimodular chart x -> M (x - p) taking the corner at the vertex
-    to the standard corner of (R>=0)^2."""
+    to the standard corner of (R>=0)^2: M sends lo to e1 and hi to e2,
+    so it is the inverse of the matrix with columns lo and hi, whose
+    determinant is <lo, hi> = 1."""
     if poly.dimension != 2:
         raise AlmostToricError("corner charts are 2D only")
-    a, b = _corner_edges(poly, vertex)
-    d = intersection_number(a, b)
-    if d not in (1, -1):
-        raise AlmostToricError("corner not integral-affine standard")
-    ab = ((a[0], b[0]), (a[1], b[1]))
-    inv = unimodular_inverse(ab)
-    if d == 1:
-        M = inv                          # a -> e1, b -> e2
-    else:
-        M = (inv[1], inv[0])             # a -> e2, b -> e1
-    return (M, poly.vertices[vertex])
+    lo, hi = _corner_basis(poly, vertex)
+    return (((hi[1], -hi[0]), (-lo[1], lo[0])), poly.vertices[vertex])
 
 
 def _chart_halfplanes(sing):
@@ -237,9 +234,8 @@ def apply_trades(poly, trades):
     sings = tuple(_trade_singularity(poly, tr) for tr in trades)
     if poly.dimension > 2:
         return AlmostToricBase(poly, sings, detect_interactions(poly, trades))
-    # a lone trade overlaps nothing, so its triangle is not built;
     # closed triangles that touch overlap
-    triangles = [_chart_halfplanes(sing) for sing in sings] if len(sings) > 1 else ()
+    triangles = [_chart_halfplanes(sing) for sing in sings]
     for i in range(len(sings)):
         for j in range(i + 1, len(sings)):
             if feasible((), triangles[i] + triangles[j]):
@@ -270,9 +266,7 @@ def smoothness_check(base):
         raise AlmostToricError("smoothness check is 2D only")
     results = []
     for sing in base.singularities:
-        a, b = _corner_edges(base.polytope, sing.trade.target)
-        # lo -> e1, hi -> e2
-        lo, hi = (a, b) if intersection_number(a, b) == 1 else (b, a)
+        lo, hi = _corner_basis(base.polytope, sing.trade.target)
         results.append(mat_vec(transport_matrix(sing), hi) == lo)
     return results
 
@@ -284,9 +278,8 @@ def _eigen_equation(sing):
         nrm = circle_class(sing.eigen)
     else:
         M, _p = sing.chart
-        n = len(M)
-        nrm = tuple(int(M[0][j] - M[1][j]) for j in range(n))
-    rhs = sum(Fraction(a) * Fraction(x) for a, x in zip(nrm, sing.position))
+        nrm = vec_sub(M[0], M[1])
+    rhs = sum(a * x for a, x in zip(nrm, sing.position))
     return nrm, rhs
 
 
@@ -316,7 +309,7 @@ def common_basepoint(base):
         return sol.point, None
     # the projection q solves A q = b and v . q = v . centroid for every
     # v in the basis; the rows of A span the basis' orthogonal complement
-    centroid = [sum(Fraction(s.position[i]) for s in sings) / len(sings)
+    centroid = [sum(s.position[i] for s in sings) / len(sings)
                 for i in range(len(sol.point))]
     q = solve_rational(A + [list(v) for v in sol.basis],
                        b + [sum(a * x for a, x in zip(v, centroid)) for v in sol.basis])
@@ -336,8 +329,7 @@ def skeleton_from_base(base, q):
     handles = []
     for idx, sing in enumerate(base.singularities):
         nrm, rhs = _eigen_equation(sing)
-        val = sum(Fraction(a) * Fraction(x) for a, x in zip(nrm, q))
-        if val != rhs:
+        if sum(a * x for a, x in zip(nrm, q)) != rhs:
             raise AlmostToricError("basepoint misses the eigenlocus of trade %d" % idx)
         M, _p = sing.chart
         comp = sum(a * x for a, x in zip(M[0], vec_sub(sing.position, q)))
@@ -351,8 +343,7 @@ def skeleton_from_base(base, q):
 def base_viewport(base):
     """The bounding box of the vertices and singularities, one unit wider
     on every side."""
-    pts = [tuple(map(Fraction, v)) for v in base.polytope.vertices]
-    pts += [tuple(map(Fraction, s.position)) for s in base.singularities]
+    pts = list(base.polytope.vertices) + [s.position for s in base.singularities]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     return (min(xs) - 1, min(ys) - 1, max(xs) + 1, max(ys) + 1)
@@ -368,12 +359,10 @@ def render_svg(base, q=None):
     poly = base.polytope
     vs = list(poly.vertices)
     if poly.rays:
-        start = cv.clip_ray(vs[0], poly.rays[0])
-        if start:
-            cv.line(start[0], start[1], stroke="black", width=2)
-        end = cv.clip_ray(vs[-1], poly.rays[1])
-        if end:
-            cv.line(end[0], end[1], stroke="black", width=2)
+        for origin, ray in zip((vs[0], vs[-1]), poly.rays):
+            segment = cv.clip_ray(origin, ray)
+            if segment:
+                cv.line(*segment, stroke="black", width=2)
         if len(vs) > 1:
             cv.polyline(vs)
     else:

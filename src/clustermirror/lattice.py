@@ -18,7 +18,7 @@ feasibility test (feasible), whose simplex runs on it too.
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 
 def identity(n):
@@ -113,12 +113,22 @@ def as_int(x):
     return x
 
 
+_MAX_EXPONENT = 4300     # CPython's default limit on the digits of an int string
+
+
 def as_rational(x):
-    """Fraction from an int (bools excluded) or a string such as "-3/4".
+    """Fraction from an int (bools excluded) or a string such as "-3/4"
+    or "1.5e-3".
 
     TypeError for any other type, ValueError for a string that is not a
-    rational number or has a zero denominator."""
+    rational number, has a zero denominator, or has an exponent above
+    _MAX_EXPONENT in magnitude.  The exponent is checked before Fraction
+    builds 10 ** exponent, whose cost grows with the exponent's value."""
     if isinstance(x, str):
+        exponent = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if exponent.isdecimal() and (len(exponent) > len(str(_MAX_EXPONENT))
+                                     or int(exponent) > _MAX_EXPONENT):
+            raise ValueError("exponent of %r exceeds %d in magnitude" % (x, _MAX_EXPONENT))
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -188,10 +198,9 @@ def det(M):
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("determinant requires a square matrix")
-    _, pivots, d = _rref(M, n)
+    _, pivots, d, q = _rref(M, n)
     if len(pivots) < n:
         return 0
-    q = prod(lcm(*(x.denominator for x in row)) for row in M)
     return d if q == 1 else Fraction(d, q)
 
 
@@ -210,12 +219,15 @@ def _rref(rows, ncols):
     determinant: d is that of the scaled rows when they are square and
     of full rank.
 
-    Returns the integer rows (lists), the pivot columns and d.
+    Returns the integer rows (lists), the pivot columns, d and the
+    product of the row scales.
     """
     a = []
+    scale = 1
     for row in rows:
         q = lcm(*(x.denominator for x in row))
         a.append([x.numerator * (q // x.denominator) for x in row])
+        scale *= q
     pivots = []
     prev = 1
     for c in range(ncols):
@@ -227,7 +239,7 @@ def _rref(rows, ncols):
             a[r], a[piv] = a[piv], [-x for x in a[r]]
         prev = _pivot(a, r, c, prev)
         pivots.append(c)
-    return a, pivots, prev
+    return a, pivots, prev, scale
 
 
 def _pivot(a, r, c, prev):
@@ -246,8 +258,8 @@ def _pivot(a, r, c, prev):
 def mat_inv(M):
     """Exact inverse over Q.  Raises on singular input."""
     n = len(M)
-    a, pivots, d = _rref([list(row) + [int(i == j) for j in range(n)]
-                          for i, row in enumerate(M)], n)
+    a, pivots, d, _ = _rref([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(M)], n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
     return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in a)
@@ -281,7 +293,7 @@ def solve_rational(A, b):
     n = len(A[0]) if m else 0
     if m != len(b):
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    aug, pivots, d = _rref([list(row) + [b[i]] for i, row in enumerate(A)], n)
+    aug, pivots, d, _ = _rref([list(row) + [b[i]] for i, row in enumerate(A)], n)
     r = len(pivots)
     if any(aug[i][n] != 0 for i in range(r, m)):
         return None
@@ -323,7 +335,7 @@ def feasible(eqs, ineqs):
     if not rows:
         return True
     n = len(rows[0]) - m - 1
-    rows, pivots, _ = _rref(rows, n)
+    rows, pivots, _, _ = _rref(rows, n)
     t = [row[n:] if row[-1] >= 0 else [-x for x in row[n:]] for row in rows[len(pivots):]]
     if not t:
         return True

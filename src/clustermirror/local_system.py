@@ -52,11 +52,8 @@ class LocalSystemError(ValueError):
 class NotMutable(LocalSystemError):
     exit_code = 3    # infeasible request: cli.main exits with this code
 
-    def __init__(self, s, witness):
-        self.s = s
-        self.witness = witness
-        super().__init__(
-            "holonomy around %r has eigenvalue 1 (det(I - E_s) = %s)" % (s, witness))
+    def __init__(self, s):
+        super().__init__("holonomy around %r has eigenvalue 1 (det(I - E_s) = 0)" % (s,))
 
 
 def _to_frac_mat(M):
@@ -185,9 +182,8 @@ def mutate_local_system(ls, s):
         raise LocalSystemError("circle class must be primitive")
     E_s = holonomy_around(ls, s)
     factor = _frac_id_minus(E_s)
-    w = det(factor)
-    if w == 0:
-        raise NotMutable(s, w)
+    if det(factor) == 0:
+        raise NotMutable(s)
     # E'_c = (I - E_s)^(-<c,s>) E_{tau_s(c)} on the standard loops
     new_hol = tuple(
         _power_product(((factor, -intersection_number(c, s)),)
@@ -217,7 +213,7 @@ def mutate_symbolic(holonomies, s):
     E_s = around(s)
     factor = sp.cancel(1 - E_s)
     if factor == 0:
-        raise NotMutable(s, 0)
+        raise NotMutable(s)
     # E'_c = (1 - E_s)^(-<c,s>) E_{tau_s(c)}, as in mutate_local_system
     new_hol = tuple(sp.cancel(factor ** -intersection_number(c, s) * around(dehn_twist(c, s)))
                     for c in ((1, 0), (0, 1)))

@@ -15,10 +15,10 @@ from clustermirror.almost_toric import (AlmostToricError, InfeasibleBase,
                                         skeleton_from_base,
                                         smoothable_corner_chart,
                                         smoothness_check, trades_from_json)
-from clustermirror.lattice import (AffineSubspace, det, identity, mat_vec,
-                                   solve_rational, transpose, unimodular_inverse,
-                                   vec_add, vec_sub)
-from clustermirror.skeleton import Handle, circle_class
+from clustermirror.lattice import (AffineSubspace, bezout_complete, content, det,
+                                   identity, mat_vec, solve_rational, transpose,
+                                   unimodular_inverse, vec_add, vec_sub)
+from clustermirror.skeleton import Handle, circle_class, intersection_number
 from clustermirror.syz_base import monodromy_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -44,6 +44,45 @@ def test_corner_chart_rejects_singular_corner():
     poly = MomentPolytope(2, ((Fraction(0), Fraction(0)),), ((1, 2), (1, 0)), ())
     with pytest.raises(AlmostToricError):
         smoothable_corner_chart(poly, 0)
+
+
+def _chart_by_inverse(a, b):
+    """Reference: the inverse of the matrix with columns a and b, its
+    rows swapped when <a, b> = -1 so that the chart sends the edge
+    pair's lo to e1 and hi to e2."""
+    inv = unimodular_inverse(((a[0], b[0]), (a[1], b[1])))
+    return inv if intersection_number(a, b) == 1 else (inv[1], inv[0])
+
+
+@st.composite
+def unimodular_corners(draw):
+    """(polygon, vertex, a, b): a corner whose edges leave in the
+    primitive directions a and b with <a, b> = +-1, at the end of an
+    unbounded chain (rays a, b) or in a bounded triangle with edges m a
+    and n b.  <a, b> = +1 only on a clockwise chain."""
+    a = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda v: content(v) == 1))
+    c = tuple(row[1] for row in bezout_complete(a))      # <a, c> = 1
+    k = draw(st.integers(-5, 5))
+    sign = draw(st.sampled_from((1, -1)))
+    b = tuple(sign * (x + k * y) for x, y in zip(c, a))
+    p = tuple(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 3))) for _ in range(2))
+    if draw(st.booleans()):
+        return MomentPolytope(2, (p,), (a, b), ()), 0, a, b
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return MomentPolytope(2, (vec_add(p, (m * a[0], m * a[1])), p,
+                              vec_add(p, (n * b[0], n * b[1]))), (), ()), 1, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(unimodular_corners())
+@example((QUADRANT, 0, (0, 1), (1, 0)))
+@example((MomentPolytope(2, ((Fraction(0), Fraction(0)),), ((1, 0), (0, 1)), ()),
+          0, (1, 0), (0, 1)))
+def test_corner_chart_matches_inverse(corner):
+    poly, vertex, a, b = corner
+    chart = smoothable_corner_chart(poly, vertex)
+    assert chart == (_chart_by_inverse(a, b), poly.vertices[vertex])
+    assert smoothness_check(apply_trades(poly, (NodalTrade(vertex),))) == [True]
 
 
 def test_standard_trade():

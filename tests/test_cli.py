@@ -91,6 +91,11 @@ def test_budget_below_one_exit_2(tmp_path, monkeypatch, capsys, budget):
     assert not g.exists()
 
 
+def test_seed_mutate_golden(capsys):
+    assert run(["seed", "mutate", "--seed", A2, "--sequence", "1,2"]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "a2_seed_mutated_12.json").read_text()
+
+
 @pytest.mark.parametrize("seed", ["a2", "rank4_frozen"])
 def test_seed_model_golden(tmp_path, seed):
     out = tmp_path / "model.json"
@@ -458,6 +463,12 @@ def test_base_syz_float_overflow_exit_2(tmp_path, capsys):
     assert run(["base", "syz", "--seed", seed, "--radii", "1e400,1",
                 "--out", str(tmp_path / "b.svg")]) == 2
     assert "too large for a float" in capsys.readouterr().err
+
+
+def test_base_syz_huge_exponent_exit_2(tmp_path, capsys):
+    assert run(["base", "syz", "--seed", A2, "--viewport=-3,-3,3,1e10000000",
+                "--out", str(tmp_path / "b.svg")]) == 2
+    assert "exponent of '1e10000000' exceeds 4300" in capsys.readouterr().err
 
 
 def test_seed_graph_negative_depth_exit_2(capsys):

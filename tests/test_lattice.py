@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clustermirror.lattice import (AffineSubspace, det,
+from clustermirror.lattice import (AffineSubspace, as_rational, det,
                                    ext_gcd, feasible, identity, is_primitive, mat_inv,
                                    mat_mul, primitive_part, solve_rational,
                                    unimodular_inverse)
@@ -26,6 +26,16 @@ def test_primitive_part_of_rational_vectors():
     assert primitive_part((4, -6)) == (2, -3)
     with pytest.raises(ValueError):
         primitive_part((Fraction(0), Fraction(0)))
+
+
+def test_as_rational_bounds_the_exponent():
+    assert as_rational("1e20") == 10 ** 20
+    assert as_rational("1e400") == 10 ** 400
+    assert as_rational("-1.5E-3") == Fraction(-3, 2000)
+    # refused before 10 ** exponent is built
+    for text in ("1e5000", "1e-5000", "1e10000000"):
+        with pytest.raises(ValueError, match="exponent of '%s' exceeds 4300" % text):
+            as_rational(text)
 
 
 def test_det_examples():
