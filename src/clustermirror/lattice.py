@@ -114,6 +114,7 @@ def as_int(x):
 
 
 _MAX_EXPONENT = 4300     # CPython's default limit on the digits of an int string
+_DIGIT_BOUND = 10 ** _MAX_EXPONENT      # the least int of more than 4300 digits
 
 
 def as_rational(x):
@@ -121,8 +122,10 @@ def as_rational(x):
     or "1.5e-3".
 
     TypeError for any other type, ValueError for a string that is not a
-    rational number, has a zero denominator, or has an exponent above
-    _MAX_EXPONENT in magnitude.  The exponent is checked before Fraction
+    rational number, has a zero denominator, has an exponent above
+    _MAX_EXPONENT in magnitude, or whose value in lowest terms has a
+    numerator or denominator of more than _MAX_EXPONENT digits, which
+    no writer could print.  The exponent is checked before Fraction
     builds 10 ** exponent, whose cost grows with the exponent's value."""
     if isinstance(x, str):
         exponent = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
@@ -130,9 +133,13 @@ def as_rational(x):
                                      or int(exponent) > _MAX_EXPONENT):
             raise ValueError("exponent of %r exceeds %d in magnitude" % (x, _MAX_EXPONENT))
         try:
-            return Fraction(x)
+            q = Fraction(x)
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % (x,))
+        if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
+            raise ValueError("%r has a numerator or denominator of more than %d digits"
+                             % (x, _MAX_EXPONENT))
+        return q
     return Fraction(as_int(x))
 
 

@@ -1,9 +1,9 @@
 """Tiny deterministic SVG 1.1 writer.
 
-The only place in the package where floating point appears: exact
-rational coordinates are converted to fixed-precision decimal strings
-for layout.  Output is built by plain string concatenation in input
-order, so a fixed input always yields byte-identical documents.
+All layout is exact over Q; each coordinate is written rounded half to
+even to PREC decimals, and one beyond the largest double is refused.
+Output is built by plain string concatenation in input order, so a
+fixed input always yields byte-identical documents.
 """
 
 import math
@@ -13,18 +13,20 @@ PREC = 3
 GRID_LINES = 100      # most grid lines drawn across one axis, plus one
 SCALE = 60            # pixels per world unit
 MARGIN = 20           # pixels around the viewport
+# the largest double, as SVG readers parse coordinates as doubles
+MAX_DOUBLE = (2 ** 53 - 1) * 2 ** 971
 
 
 def fmt(x):
-    """Fixed-precision decimal for a rational or float coordinate."""
-    try:
-        x = float(x)
-    except OverflowError:
+    """An int or Fraction rounded half to even to PREC decimals, e.g. "-1.250"."""
+    d = x.denominator
+    q, r = divmod(x.numerator * 10 ** PREC, d)
+    if 2 * r > d or 2 * r == d and q % 2:
+        q += 1
+    units, digits = divmod(abs(q), 10 ** PREC)
+    if units > MAX_DOUBLE or units == MAX_DOUBLE and digits:
         raise ValueError("a coordinate of the drawing is too large for a float")
-    s = "%.*f" % (PREC, x)
-    if s == "-0." + "0" * PREC:
-        s = "0." + "0" * PREC
-    return s
+    return "%s%d.%0*d" % ("-" if q < 0 else "", units, PREC, digits)
 
 
 def grid_step(span):
@@ -45,19 +47,16 @@ class SvgCanvas:
     def __init__(self, xmin, ymin, xmax, ymax):
         self.xmin, self.ymin, self.xmax, self.ymax = (
             Fraction(xmin), Fraction(ymin), Fraction(xmax), Fraction(ymax))
-        try:
-            self.width = float(self.xmax - self.xmin) * SCALE + 2 * MARGIN
-            self.height = float(self.ymax - self.ymin) * SCALE + 2 * MARGIN
-        except OverflowError:
-            self.width = math.inf
-        if math.isinf(self.width) or math.isinf(self.height):
+        self.width = (self.xmax - self.xmin) * SCALE + 2 * MARGIN
+        self.height = (self.ymax - self.ymin) * SCALE + 2 * MARGIN
+        if max(abs(self.width), abs(self.height)) > MAX_DOUBLE:
             raise ValueError("viewport is too large to draw: its width and height "
                              "must fit in a float")
         self.elems = []
 
     def px(self, p):
-        x = (Fraction(p[0]) - self.xmin) * SCALE + MARGIN
-        y = (self.ymax - Fraction(p[1])) * SCALE + MARGIN
+        x = (p[0] - self.xmin) * SCALE + MARGIN
+        y = (self.ymax - p[1]) * SCALE + MARGIN
         return x, y
 
     def line(self, a, b, stroke="black", width=1, dash=None):
@@ -100,9 +99,8 @@ class SvgCanvas:
     def clip_ray(self, origin, direction):
         """Largest segment of origin + t*direction (t >= 0) inside the
         viewport, or None if the ray misses it entirely."""
-        ox, oy = Fraction(origin[0]), Fraction(origin[1])
-        dx, dy = Fraction(direction[0]), Fraction(direction[1])
-        tmin, tmax = Fraction(0), None
+        (ox, oy), (dx, dy) = origin, direction
+        tmin, tmax = 0, None
         for o, d, lo, hi in ((ox, dx, self.xmin, self.xmax),
                              (oy, dy, self.ymin, self.ymax)):
             if d == 0:

@@ -451,7 +451,12 @@ def test_base_syz_grid_lines_bounded(tmp_path):
     assert run(["base", "syz", "--seed", str(FIXTURES / "a2_seed.json"),
                 "--viewport=0,0,1e20,1", "--out", str(out)]) == 0
     # x: the multiples of 10^18 in [0, 10^20]; y: 0 and 1
-    assert out.read_text().count('stroke="#dddddd"') == 101 + 2
+    doc = out.read_text()
+    assert doc.count('stroke="#dddddd"') == 101 + 2
+    # exact: 60 * 10^20 pixels plus both 20-pixel margins, and x = 10^18
+    # drawn 20 pixels right of the left edge
+    assert 'width="6000000000000000000040.000"' in doc
+    assert '<line x1="60000000000000000020.000"' in doc
 
 
 def test_base_syz_float_overflow_exit_2(tmp_path, capsys):
@@ -469,6 +474,15 @@ def test_base_syz_huge_exponent_exit_2(tmp_path, capsys):
     assert run(["base", "syz", "--seed", A2, "--viewport=-3,-3,3,1e10000000",
                 "--out", str(tmp_path / "b.svg")]) == 2
     assert "exponent of '1e10000000' exceeds 4300" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1e4300", "1e-4300"])
+def test_locsys_unprintable_holonomy_exit_2(tmp_path, capsys, value):
+    ls = tmp_path / "ls.json"
+    ls.write_text(json.dumps({"rank": 1, "loops": 2, "holonomies": [[[value]], [["3"]]]}))
+    assert run(["locsys", "mutate", "--locsys", str(ls), "--handle-class", "1,0"]) == 2
+    assert ("'%s' has a numerator or denominator of more than 4300 digits" % value
+            in capsys.readouterr().err)
 
 
 def test_seed_graph_negative_depth_exit_2(capsys):

@@ -32,9 +32,15 @@ def test_as_rational_bounds_the_exponent():
     assert as_rational("1e20") == 10 ** 20
     assert as_rational("1e400") == 10 ** 400
     assert as_rational("-1.5E-3") == Fraction(-3, 2000)
+    assert as_rational("1e4299") == 10 ** 4299           # 4300 digits: str() prints it
     # refused before 10 ** exponent is built
     for text in ("1e5000", "1e-5000", "1e10000000"):
         with pytest.raises(ValueError, match="exponent of '%s' exceeds 4300" % text):
+            as_rational(text)
+    # built, but a numerator or denominator of 4301 digits could not be written
+    for text in ("1e4300", "1e-4300", "12e4299"):
+        with pytest.raises(ValueError, match="'%s' has a numerator or denominator of "
+                                             "more than 4300 digits" % text):
             as_rational(text)
 
 
