@@ -453,8 +453,8 @@ def test_base_syz_grid_lines_bounded(tmp_path):
     # x: the multiples of 10^18 in [0, 10^20]; y: 0 and 1
     doc = out.read_text()
     assert doc.count('stroke="#dddddd"') == 101 + 2
-    # exact: 60 * 10^20 pixels plus both 20-pixel margins, and x = 10^18
-    # drawn 20 pixels right of the left edge
+    # exact: 60 * 10^20 pixels plus both 20-pixel margins, and the line at
+    # x = 10^18 at 60 * 10^18 pixels plus the left margin
     assert 'width="6000000000000000000040.000"' in doc
     assert '<line x1="60000000000000000020.000"' in doc
 
