@@ -77,7 +77,8 @@ class NodalTrade(Validated, namedtuple("NodalTrade", "target chart t")):
     __slots__ = ()
 
     def __new__(cls, target, chart=None, t=Fraction(1)):
-        if Fraction(t) <= 0:
+        t = Fraction(t)
+        if t <= 0:
             raise AlmostToricError("singularity distance t must be positive")
         return tuple.__new__(cls, (target, chart, t))
 
@@ -128,7 +129,7 @@ def _chart_halfplanes(sing):
     polygon coordinates; the singularity sits on its hypotenuse."""
     M, p = sing.chart
     normals = (M[0], M[1], vec_neg(vec_add(M[0], M[1])))
-    offsets = (0, 0, -2 * Fraction(sing.trade.t))
+    offsets = (0, 0, -2 * sing.trade.t)
     return [(nrm, sum(a * x for a, x in zip(nrm, p)) + off)
             for nrm, off in zip(normals, offsets)]
 
@@ -139,22 +140,10 @@ def _facet(poly, i):
     return poly.facets[i]
 
 
-def _check_target(poly, target):
-    """A 2D trade targets one vertex, an nD trade two distinct facets."""
-    if poly.dimension == 2:
-        if type(target) is not int or not 0 <= target < len(poly.vertices):
-            raise AlmostToricError("a 2D trade targets one vertex index, got %r" % (target,))
-    elif type(target) is not tuple or len(target) != 2 or target[0] == target[1]:
-        raise AlmostToricError("a trade in dimension %d targets two distinct facet "
-                               "indices, got %r" % (poly.dimension, target))
-    else:
-        for i in target:
-            _facet(poly, i)
-
-
 def _trade_chart(poly, trade):
     """The trade's chart x -> M (x - p), which sends its face to the
-    model corner y_0 = y_1 = 0.
+    model corner y_0 = y_1 = 0, once its target is checked: one vertex
+    index in 2D, two distinct facet indices above.
 
     An omitted chart is derived at a smooth 2D corner; above dimension 2
     it must be given.  An explicit chart must be n x n, and above
@@ -164,11 +153,19 @@ def _trade_chart(poly, trade):
     checked against the corner: verify.suite_duality trades at the quadrant's
     corner with off-corner charts (shear . A^{-1}) to test how the
     recorded monodromy transforms."""
-    n = poly.dimension
+    n, target = poly.dimension, trade.target
+    if n == 2:
+        if type(target) is not int or not 0 <= target < len(poly.vertices):
+            raise AlmostToricError("a 2D trade targets one vertex index, got %r" % (target,))
+    elif type(target) is not tuple or len(target) != 2 or target[0] == target[1]:
+        raise AlmostToricError("a trade in dimension %d targets two distinct facet "
+                               "indices, got %r" % (n, target))
+    else:
+        facets = [_facet(poly, i) for i in target]
     if trade.chart is None:
         if n > 2:
             raise AlmostToricError("explicit charts are required above dimension 2")
-        return smoothable_corner_chart(poly, trade.target)
+        return smoothable_corner_chart(poly, target)
     M, p = trade.chart
     if len(M) != n or any(len(row) != n for row in M) or len(p) != n:
         raise AlmostToricError(
@@ -177,8 +174,7 @@ def _trade_chart(poly, trade):
     if n > 2:
         # a chart off the target facets would put the position at a
         # different corner from the faces detect_interactions reads
-        for k, fid in enumerate(trade.target):
-            normal, rhs = _facet(poly, fid)
+        for k, (fid, (normal, rhs)) in enumerate(zip(target, facets)):
             if M[k] != tuple(normal):
                 raise AlmostToricError("chart row %d is %s, not the normal %s of target "
                                        "facet %d" % (k, list(M[k]), list(normal), fid))
@@ -196,12 +192,11 @@ def _trade_singularity(poly, trade):
     acts in the transverse slice, so it is recorded in 2D only."""
     chart = _trade_chart(poly, trade)
     M, p = chart
-    t = Fraction(trade.t)
     try:
         Minv = unimodular_inverse(M)
     except ValueError:
         raise AlmostToricError("chart matrix must be unimodular")
-    pos = vec_add(mat_vec(Minv, (t, t) + (0,) * (len(M) - 2)), p)
+    pos = vec_add(mat_vec(Minv, (trade.t, trade.t) + (0,) * (len(M) - 2)), p)
     eigen = primitive_part(tuple(row[0] + row[1] for row in Minv))
     mono = (mat_mul(mat_mul(transpose(M), FOCUS_FOCUS), transpose(Minv))
             if len(M) == 2 else None)
@@ -225,13 +220,11 @@ def detect_interactions(poly, trades):
 
 
 def apply_trades(poly, trades):
+    sings = tuple(_trade_singularity(poly, tr) for tr in trades)
     targets = [tr.target for tr in trades]
-    for target in targets:
-        _check_target(poly, target)
     # an nD face is a pair of facets, whichever order names it
     if len({t if poly.dimension == 2 else frozenset(t) for t in targets}) != len(targets):
         raise AlmostToricError("trade targets must be distinct")
-    sings = tuple(_trade_singularity(poly, tr) for tr in trades)
     if poly.dimension > 2:
         return AlmostToricBase(poly, sings, detect_interactions(poly, trades))
     # closed triangles that touch overlap

@@ -15,6 +15,7 @@ moves down.  One pivot step (_pivot) serves _rref and the exact LP
 feasibility test (feasible), whose simplex runs on it too.
 """
 
+import re
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
@@ -115,6 +116,7 @@ def as_int(x):
 
 _MAX_EXPONENT = 4300     # CPython's default limit on the digits of an int string
 _DIGIT_BOUND = 10 ** _MAX_EXPONENT      # the least int of more than 4300 digits
+_LONG_DIGIT_RUN = re.compile(r"\d{%d}" % (_MAX_EXPONENT + 1))
 
 
 def as_rational(x):
@@ -122,16 +124,19 @@ def as_rational(x):
     or "1.5e-3".
 
     TypeError for any other type, ValueError for a string that is not a
-    rational number, has a zero denominator, has an exponent above
-    _MAX_EXPONENT in magnitude, or whose value in lowest terms has a
-    numerator or denominator of more than _MAX_EXPONENT digits, which
-    no writer could print.  The exponent is checked before Fraction
-    builds 10 ** exponent, whose cost grows with the exponent's value."""
+    rational number, has a zero denominator, an exponent above
+    _MAX_EXPONENT in magnitude or a run of more digits, or whose value in
+    lowest terms has a numerator or denominator of more than
+    _MAX_EXPONENT digits, which no writer could print.  Both are checked
+    before Fraction parses the string, which cannot read such a run and
+    builds 10 ** exponent at a cost that grows with the exponent's value."""
     if isinstance(x, str):
         exponent = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
         if exponent.isdecimal() and (len(exponent) > len(str(_MAX_EXPONENT))
                                      or int(exponent) > _MAX_EXPONENT):
             raise ValueError("exponent of %r exceeds %d in magnitude" % (x, _MAX_EXPONENT))
+        if _LONG_DIGIT_RUN.search(x.replace("_", "")):
+            raise ValueError("%r has a run of more than %d digits" % (x, _MAX_EXPONENT))
         try:
             q = Fraction(x)
         except ZeroDivisionError:
@@ -180,10 +185,9 @@ class Validated:
 
     namedtuple's _make, and _replace through it, build the tuple without
     __new__; this _make goes through the class, so every record a caller
-    builds is checked.  seed.mutate_sequence,
-    local_system.mutate_local_system and skeleton.disk_surgery build
-    theirs with tuple.__new__: each derives it from checked records in a
-    way their docstrings show keeps every check true."""
+    builds is checked.  A record derived from checked records may skip
+    its __new__ (tuple.__new__) only when a check it skips computes a
+    determinant, and its docstring shows every skipped check holds."""
     __slots__ = ()
 
     @classmethod

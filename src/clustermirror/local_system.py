@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import lcm
 
 from .lattice import (Validated, as_int, bezout_complete, content, det, identity,
-                      malformed, mat_inv, mat_mul, rationals, rational_strings)
+                      malformed, mat_inv, mat_mul, rationals, rational_strings, vec_sub)
 from .skeleton import circle_class, dehn_twist, intersection_number, skeleton_from_seed
 
 SIGN_TWIST = -1
@@ -143,11 +143,6 @@ def holonomy_around(ls, c):
     return _power_product(zip(ls.holonomies, c), ls.rank)
 
 
-def _frac_id_minus(A):
-    n = len(A)
-    return tuple(tuple((1 if i == j else 0) - A[i][j] for j in range(n)) for i in range(n))
-
-
 def canonical_transversal(s):
     """The canonical class t with <t, s> = -1, reduced against s.
 
@@ -181,7 +176,7 @@ def mutate_local_system(ls, s):
     if content(s) != 1:
         raise LocalSystemError("circle class must be primitive")
     E_s = holonomy_around(ls, s)
-    factor = _frac_id_minus(E_s)
+    factor = tuple(map(vec_sub, identity(ls.rank), E_s))
     if det(factor) == 0:
         raise NotMutable(s)
     # E'_c = (I - E_s)^(-<c,s>) E_{tau_s(c)} on the standard loops

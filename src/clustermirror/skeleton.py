@@ -35,9 +35,8 @@ Handle = namedtuple("Handle", "psi chi d")
 
 
 class Skeleton(Validated, namedtuple("Skeleton", "n handles")):
-    """A rank-n torus with the given Handles; every Skeleton read from a
-    document or built by a caller is checked, while disk_surgery derives
-    its result unchecked.  Equality is tuple equality."""
+    """A rank-n torus with the given Handles; every Skeleton built is
+    checked.  Equality is tuple equality."""
     __slots__ = ()
 
     def __new__(cls, n, handles):
@@ -110,12 +109,6 @@ def disk_surgery(sk, k):
     formula there, callers should mutate the seed instead.  Multipliers
     larger than 1 are rejected: the surgery statement is quoted for
     skew-symmetric (all d = 1) data only.
-
-    The result is built unchecked, since its checks cannot fail: n = 2
-    and every d = 1 are checked above, and each new class is -s_k, s_j
-    or tau_{s_k}(s_j), an SL(2,Z) image of the primitive class s_j = R
-    psi_j, so it is primitive; psi = R^{-1} s and chi = s pair to
-    s_1 s_0 - s_0 s_1 = 0.
     """
     if not (0 <= k < len(sk.handles)):
         raise SkeletonError("no such handle")
@@ -136,7 +129,7 @@ def disk_surgery(sk, k):
         # the disk cocharacter in rank 2 is determined up to sign by
         # orthogonality; keep the convention chi = R psi = s
         new_handles.append(Handle(character_of_circle(new_s), new_s, h.d))
-    return tuple.__new__(Skeleton, (sk.n, tuple(new_handles)))
+    return Skeleton(sk.n, tuple(new_handles))
 
 
 def skeleton_to_json(sk):

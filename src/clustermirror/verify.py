@@ -144,20 +144,21 @@ def suite_duality(rng, cases=100):
 
 
 def suite_smoothness(rng, cases=200):
-    """apply_trades on random unimodular corners always passes the
-    smoothness check."""
+    """apply_trades on random unimodular corners of either orientation
+    passes the smoothness check and puts the singularity at t (a + b)."""
     failures = []
     for _ in range(cases):
         a = random_primitive(rng, 5)
-        # complete to |det| = 1 and orient the cone like (R>=0)^2
+        # complete to <a, b> = 1, then swap to <a, b> = -1 on half the draws
         A = bezout_complete(a)
         b = (A[0][1], A[1][1])
-        if intersection_number(a, b) == 1:
+        if rng.randrange(2):
             a, b = b, a
         poly = MomentPolytope(2, ((Fraction(0), Fraction(0)),), (a, b), ())
         t = Fraction(rng.randrange(1, 5), rng.randrange(1, 4))
         base = apply_trades(poly, (NodalTrade(0, None, t),))
-        if smoothness_check(base) != [True]:
+        if (smoothness_check(base) != [True]
+                or base.singularities[0].position != (t * (a[0] + b[0]), t * (a[1] + b[1]))):
             failures.append({"rays": [list(a), list(b)], "t": str(t)})
     return _report("smoothness", cases, failures)
 

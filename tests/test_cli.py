@@ -81,18 +81,19 @@ def test_budget_truncates(tmp_path, monkeypatch):
     assert doc["truncated"] and len(doc["nodes"]) == 7
 
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("budget", ["0", "-3", "abc"])
 def test_budget_below_one_exit_2(tmp_path, monkeypatch, capsys, budget):
     monkeypatch.setenv("CLUSTERMIRROR_BUDGET", budget)
     g = tmp_path / "g.json"
     assert run(["seed", "graph", "--seed", str(FIXTURES / "a2_seed.json"),
                 "--depth", "2", "--out", str(g)]) == 2
-    assert "CLUSTERMIRROR_BUDGET" in capsys.readouterr().err
+    assert "CLUSTERMIRROR_BUDGET must be a positive integer" in capsys.readouterr().err
     assert not g.exists()
 
 
-def test_seed_mutate_golden(capsys):
-    assert run(["seed", "mutate", "--seed", A2, "--sequence", "1,2"]) == 0
+@pytest.mark.parametrize("sequence", ["1,2", "1,,2"])    # an empty index is skipped
+def test_seed_mutate_golden(capsys, sequence):
+    assert run(["seed", "mutate", "--seed", A2, "--sequence", sequence]) == 0
     assert capsys.readouterr().out == (FIXTURES / "a2_seed_mutated_12.json").read_text()
 
 
@@ -139,6 +140,28 @@ def test_base_trade_with_skeleton(tmp_path):
                 "--trades", str(FIXTURES / "bl0c2_trades.json"),
                 "--skeleton", "--out", str(out)]) == 0
     assert out.read_bytes() == (FIXTURES / "bl0c2_double.svg").read_bytes()
+
+
+TRAPEZOID = str(FIXTURES / "trapezoid_polytope.json")
+
+
+def test_base_trade_bounded_polygon_golden(tmp_path):
+    out = tmp_path / "trap.svg"
+    assert run(["base", "trade", "--polytope", TRAPEZOID,
+                "--trades", str(FIXTURES / "trapezoid_trades.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / "trapezoid_trade.svg").read_bytes()
+
+
+def test_base_trade_eigenlines_meeting_pairwise_only_exit_3(tmp_path, capsys):
+    # the eigenlines of the trades at vertices 0, 1 and 2 meet pairwise
+    # but share no point
+    trades = tmp_path / "trades.json"
+    trades.write_text(json.dumps({"trades": [{"target": i, "t": "1/4"} for i in range(3)]}))
+    svg = tmp_path / "x.svg"
+    assert run(["base", "trade", "--polytope", TRAPEZOID, "--trades", str(trades),
+                "--skeleton", "--out", str(svg)]) == 3
+    assert capsys.readouterr().err == "eigenloci have no common point\n"
+    assert not svg.exists()
 
 
 def test_base_trade_skeleton_json_golden(tmp_path):
@@ -372,6 +395,55 @@ def test_trade_chart_shape_exit_2(tmp_path, capsys):
     assert "2x2 matrix" in capsys.readouterr().err
 
 
+SEED3 = {"rank": 3, "unfrozen": 3, "psi": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+         "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]], "d": [1, 1, 1]}
+LOCSYS = ["locsys", "mutate", "--handle-class", "1,0", "--locsys"]
+LOCSYS_S18 = str(FIXTURES / "locsys_s18.json")
+
+
+@pytest.mark.parametrize("argv, doc, code, message", [
+    pytest.param(["seed", "mutate", "--seed", A2, "--sequence", "1,x"], None, 2,
+                 "bad mutation index 'x'", id="sequence-not-int"),
+    pytest.param(["locsys", "mutate", "--locsys", LOCSYS_S18, "--handle-class", "1,x"], None, 2,
+                 "bad handle class: invalid literal", id="handle-class-not-int"),
+    pytest.param(["locsys", "mutate", "--locsys", LOCSYS_S18, "--handle-class", "1,2,3"], None, 2,
+                 "handle class must be two integers", id="handle-class-three-ints"),
+    pytest.param(LOCSYS, {"holonomies": [[["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]]]},
+                 2, "holonomies must commute", id="locsys-not-commuting"),
+    pytest.param(LOCSYS, {"holonomies": [[["2"]], [["3"]], [["5"]]]}, 2,
+                 "mutation implemented on the 2-torus only", id="locsys-three-loops"),
+    pytest.param(LOCSYS, {"holonomies": [[["1" * 4301]], [["3"]]]}, 2,
+                 "has a run of more than 4300 digits", id="locsys-long-digit-run"),
+    pytest.param(["locsys", "transition", "--k", "1", "--seed"], SEED3, 2,
+                 "chart transitions are rank-2 only", id="transition-rank-3"),
+    pytest.param(["locsys", "transition", "--seed", A2, "--k", "3"], None, 2,
+                 "no such handle", id="transition-no-handle"),
+    pytest.param(["skeleton", "surgery", "--handle", "1", "--skeleton"],
+                 {"rank": 1, "handles": []}, 2, "torus rank must be at least 2",
+                 id="skeleton-rank-1"),
+    pytest.param(["skeleton", "surgery", "--handle", "1", "--skeleton"],
+                 {"rank": 2, "handles": [{"psi": [1, 0], "chi": [0, 1], "d": 0}]}, 2,
+                 "handle multiplier must be positive", id="skeleton-d-0"),
+    pytest.param(["skeleton", "surgery", "--handle", "1", "--skeleton"],
+                 {"rank": 3, "handles": [{"psi": [1, 0, 0], "chi": [0, 1, 0], "d": 1}]}, 2,
+                 "direct surgery is rank-2 only", id="surgery-rank-3"),
+    pytest.param(["base", "syz", "--seed"], SEED3, 2, "SYZ base construction is rank-2 only",
+                 id="syz-rank-3"),
+    pytest.param(["base", "syz", "--seed", A2, "--radii", "1,2,3"], None, 2,
+                 "need one radius per ray", id="syz-radii-count"),
+])
+def test_refusal_exits_with_its_message(tmp_path, capsys, argv, doc, code, message):
+    # doc, if given, is written to a file whose path ends argv
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [str(path)]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["seed", "mutate", "--seed", A2, "--sequence", "1", "--out", "{tmp}/no/x.json"],
     ["base", "syz", "--seed", A2, "--out", "{tmp}"],
@@ -521,6 +593,12 @@ CHART3 = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": ["0", "0",
     pytest.param(ORTHANT, {"trades": [{"target": 0, "chart": CHART3},
                                       {"target": [1, 2], "chart": CHART3}]},
                  [], "two distinct facet indices", id="3d-int-target"),
+    pytest.param({"dimension": 1, "vertices": [["0"]]}, _fixture("std_trade.json"), [],
+                 "dimension must be at least 2", id="1d-polytope"),
+    pytest.param(dict(ORTHANT, facets=[]), {"trades": [{"target": [0, 1], "chart": CHART3}]},
+                 [], "H-representation needs facets", id="3d-no-facets"),
+    pytest.param(ORTHANT, {"trades": [{"target": [0, 1]}]}, [],
+                 "explicit charts are required above dimension 2", id="3d-no-chart"),
     pytest.param(_fixture("quadrant_polytope.json"),
                  {"trades": [{"target": 0, "chart": {"matrix": [[2, 0], [0, 1]],
                                                      "translation": ["0", "0"]}}]},

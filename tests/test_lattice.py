@@ -33,6 +33,11 @@ def test_as_rational_bounds_the_exponent():
     assert as_rational("1e400") == 10 ** 400
     assert as_rational("-1.5E-3") == Fraction(-3, 2000)
     assert as_rational("1e4299") == 10 ** 4299           # 4300 digits: str() prints it
+    assert as_rational("1" * 4300) == int("1" * 4300)
+    # a run of 4301 digits is refused before Fraction reads it
+    for text in ("1" * 4301, "0." + "1" * 4301, "0" * 4301 + "1"):
+        with pytest.raises(ValueError, match="'%s' has a run of more than 4300 digits" % text):
+            as_rational(text)
     # refused before 10 ** exponent is built
     for text in ("1e5000", "1e-5000", "1e10000000"):
         with pytest.raises(ValueError, match="exponent of '%s' exceeds 4300" % text):

@@ -181,8 +181,9 @@ def test_outputs_commute_and_invert():
 @settings(max_examples=100, deadline=None)
 @given(commuting_holonomies(), st.randoms(use_true_random=False), st.integers(0, 1))
 def test_derived_records_pass_their_checks(hol, rng, k):
-    # mutate_local_system and disk_surgery build their results unchecked;
-    # rebuilt through the checking constructors, they pass and are equal
+    # mutate_local_system builds its result unchecked and disk_surgery
+    # through Skeleton's checks; rebuilt through the checking
+    # constructors, both pass and are equal
     ls, s = local_system(hol[:2]), random_primitive(rng)
     assume(_mutable(ls, s))
     out, _ = mutate_local_system(ls, s)

@@ -3,10 +3,15 @@ record that validates its fields does so however it is built.
 
 Records compare as the tuples of their fields.  A namedtuple's
 `_make`, and `_replace` through it, would build the tuple without
-`__new__`; the validating records route both through the class.
+`__new__`; the validating records route both through the class.  Only
+the derivations named in BYPASS_ALLOWED build a record with
+`tuple.__new__`, which skips its checks (the rule is in
+`lattice.Validated`).
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +95,38 @@ def test_every_record_is_immutable_and_cannot_reach_an_output():
             rec.extra = None
         with pytest.raises(TypeError):
             cli._dump_json({"x": rec})
+
+
+PACKAGE = Path(__file__).parent.parent / "src" / "clustermirror"
+# (module, top-level function) of each derived record that skips its
+# constructor; every check it skips computes a determinant
+BYPASS_ALLOWED = {("seed", "mutate_sequence"), ("local_system", "mutate_local_system")}
+
+
+def constructor_bypasses(tree):
+    """(top-level name, line) of every tuple.__new__(X, ...) in a module
+    whose first argument X is not the name cls."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "tuple"
+                    and not (node.args and isinstance(node.args[0], ast.Name)
+                             and node.args[0].id == "cls")):
+                yield getattr(top, "name", None), node.lineno
+
+
+def test_only_allowed_derivations_skip_their_constructor():
+    found = [(path.stem, name, line) for path in sorted(PACKAGE.glob("*.py"))
+             for name, line in constructor_bypasses(ast.parse(path.read_text(), str(path)))]
+    assert {(module, name) for module, name, _ in found} == BYPASS_ALLOWED, found
+
+
+def test_every_constructor_bypass_is_found():
+    source = ("class R(tuple):\n    def __new__(cls, x):\n        return tuple.__new__(cls, x)\n"
+              "def derive(r):\n    return tuple.__new__(R, r)\n"
+              "def nested(r):\n    def inner():\n        return tuple.__new__(type(r), r)\n"
+              "    return inner()\n"
+              "BUILT = tuple.__new__(R, ())\n")
+    assert list(constructor_bypasses(ast.parse(source))) == [("derive", 5), ("nested", 8),
+                                                             (None, 10)]

@@ -16,6 +16,7 @@ CASES = 50
 ORIGINAL_COLUMN = seed._column
 ORIGINAL_MONODROMY = verify.monodromy_matrix
 ORIGINAL_TRANSPORT = almost_toric.transport_matrix
+ORIGINAL_CORNER_BASIS = almost_toric._corner_basis
 
 
 def _column_d0(psi, B, d, k):
@@ -37,11 +38,19 @@ def _transport_transposed(sing):
     return transpose(ORIGINAL_TRANSPORT(sing))
 
 
+def _corner_basis_reversed(poly, i):
+    # the <lo, hi> = -1 order at every corner, which the smoothness
+    # check alone does not see
+    lo, hi = ORIGINAL_CORNER_BASIS(poly, i)
+    return hi, lo
+
+
 FAULTS = [
     ("epsilon", seed, "_column", _column_d0),
     ("dictionary", skeleton, "dehn_twist", _dehn_twist_flipped),
     ("duality", verify, "monodromy_matrix", _monodromy_diagonal_swapped),
     ("smoothness", almost_toric, "transport_matrix", _transport_transposed),
+    ("smoothness", almost_toric, "_corner_basis", _corner_basis_reversed),
     ("coherence", verify, "SIGN_TWIST", 1),
 ]
 
