@@ -72,8 +72,9 @@ class MomentPolytope(Validated, namedtuple("MomentPolytope", "dimension vertices
 
 class NodalTrade(Validated, namedtuple("NodalTrade", "target chart t")):
     """target: vertex index (2D) or (i, j) facet pair (nD); chart: (M, p)
-    for x -> M (x - p), derived for 2D corners if None; t > 0.  Every
-    NodalTrade built is checked; equality is tuple equality."""
+    for x -> M (x - p), derived for 2D corners if None; t > 0, kept as a
+    Fraction.  Every NodalTrade built is checked; equality is tuple
+    equality."""
     __slots__ = ()
 
     def __new__(cls, target, chart=None, t=Fraction(1)):
