@@ -91,10 +91,10 @@ def test_budget_below_one_exit_2(tmp_path, monkeypatch, capsys, budget):
     assert not g.exists()
 
 
-@pytest.mark.parametrize("sequence", ["1,2", "1,,2"])    # an empty index is skipped
-def test_seed_mutate_golden(capsys, sequence):
-    assert run(["seed", "mutate", "--seed", A2, "--sequence", sequence]) == 0
-    assert capsys.readouterr().out == (FIXTURES / "a2_seed_mutated_12.json").read_text()
+def test_seed_mutate_golden(capsys):
+    for sequence in ("1,2", "1,,2"):    # an empty index is skipped
+        assert run(["seed", "mutate", "--seed", A2, "--sequence", sequence]) == 0
+        assert capsys.readouterr().out == (FIXTURES / "a2_seed_mutated_12.json").read_text()
 
 
 @pytest.mark.parametrize("seed", ["a2", "rank4_frozen"])
