@@ -39,12 +39,9 @@ class AlmostToricError(ValueError):
 
 
 class InfeasibleBase(AlmostToricError):
-    """No common basepoint; carries an offending pair of eigenloci."""
+    """No common basepoint; the message names an offending pair of
+    eigenloci when there is one."""
     exit_code = 3    # infeasible request: cli.main exits with this code
-
-    def __init__(self, pair, message):
-        self.pair = pair
-        super().__init__(message)
 
 
 class MomentPolytope(Validated, namedtuple("MomentPolytope", "dimension vertices rays facets")):
@@ -93,35 +90,18 @@ AlmostToricBase = namedtuple("AlmostToricBase", "polytope singularities interact
 
 
 def _corner_basis(poly, i):
-    """The two primitive boundary directions leaving vertex i, as
-    (lo, hi) with <lo, hi> = 1."""
+    """The two primitive boundary directions leaving vertex i, an index
+    checked when its trade was charted, as (lo, hi) with <lo, hi> = 1.
+    An edge or a ray counts by its direction only."""
     vs = poly.vertices
-    if i < 0 or i >= len(vs):
-        raise AlmostToricError("no such vertex")
     # vs[i - 1] is vs[-1] at i = 0; a ray leaves only an end of an unbounded chain
-    if i == 0 and poly.rays:
-        back = poly.rays[0]
-    else:
-        back = primitive_part(vec_sub(vs[i - 1], vs[i]))
-    if i == len(vs) - 1 and poly.rays:
-        fwd = poly.rays[1]
-    else:
-        fwd = primitive_part(vec_sub(vs[(i + 1) % len(vs)], vs[i]))
+    back = primitive_part(poly.rays[0] if i == 0 and poly.rays else vec_sub(vs[i - 1], vs[i]))
+    fwd = primitive_part(poly.rays[1] if i == len(vs) - 1 and poly.rays
+                         else vec_sub(vs[(i + 1) % len(vs)], vs[i]))
     d = intersection_number(back, fwd)
     if d not in (1, -1):
         raise AlmostToricError("corner not integral-affine standard")
     return (back, fwd) if d == 1 else (fwd, back)
-
-
-def smoothable_corner_chart(poly, vertex):
-    """Unimodular chart x -> M (x - p) taking the corner at the vertex
-    to the standard corner of (R>=0)^2: M sends lo to e1 and hi to e2,
-    so it is the inverse of the matrix with columns lo and hi, whose
-    determinant is <lo, hi> = 1."""
-    if poly.dimension != 2:
-        raise AlmostToricError("corner charts are 2D only")
-    lo, hi = _corner_basis(poly, vertex)
-    return (((hi[1], -hi[0]), (-lo[1], lo[0])), poly.vertices[vertex])
 
 
 def _chart_halfplanes(sing):
@@ -146,8 +126,9 @@ def _trade_chart(poly, trade):
     model corner y_0 = y_1 = 0, once its target is checked: one vertex
     index in 2D, two distinct facet indices above.
 
-    An omitted chart is derived at a smooth 2D corner; above dimension 2
-    it must be given.  An explicit chart must be n x n, and above
+    An omitted chart is derived at a smooth 2D corner, taking it to the
+    standard corner of (R>=0)^2 with p the vertex; above dimension 2 it
+    must be given.  An explicit chart must be n x n, and above
     dimension 2 rows 0 and 1 of M must be the normals of the target
     facets, in order, with p on both.  _trade_singularity, which inverts
     M, rejects a chart that is not unimodular.  Explicit 2D charts are not
@@ -166,7 +147,10 @@ def _trade_chart(poly, trade):
     if trade.chart is None:
         if n > 2:
             raise AlmostToricError("explicit charts are required above dimension 2")
-        return smoothable_corner_chart(poly, target)
+        lo, hi = _corner_basis(poly, target)
+        # M sends lo to e1 and hi to e2: it inverts [lo hi], whose
+        # determinant is <lo, hi> = 1
+        return ((hi[1], -hi[0]), (-lo[1], lo[0])), poly.vertices[target]
     M, p = trade.chart
     if len(M) != n or any(len(row) != n for row in M) or len(p) != n:
         raise AlmostToricError(
@@ -296,9 +280,9 @@ def common_basepoint(base):
         for i in range(len(eqs)):
             for j in range(i + 1, len(eqs)):
                 if solve_rational([A[i], A[j]], [b[i], b[j]]) is None:
-                    raise InfeasibleBase(
-                        (i, j), "eigenloci of trades %d and %d never meet" % (i, j))
-        raise InfeasibleBase(None, "eigenloci have no common point")
+                    raise InfeasibleBase("eigenloci of trades %d and %d never meet"
+                                         % (i, j))
+        raise InfeasibleBase("eigenloci have no common point")
     if not sol.basis:
         return sol.point, None
     # the projection q solves A q = b and v . q = v . centroid for every

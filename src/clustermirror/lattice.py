@@ -51,18 +51,6 @@ def vec_neg(v):
     return tuple(-a for a in v)
 
 
-def is_primitive(v):
-    """True iff the gcd of the entries is 1.
-
-    The zero vector is rejected: it generates no ray and has no
-    meaningful primitivity.
-    """
-    g = content(v)
-    if g == 0:
-        raise ValueError("zero vector has no primitive test")
-    return g == 1
-
-
 def content(v):
     """gcd of the entries (0 for the zero vector)."""
     return gcd(*v)

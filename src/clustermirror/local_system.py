@@ -56,10 +56,6 @@ class NotMutable(LocalSystemError):
         super().__init__("holonomy around %r has eigenvalue 1 (det(I - E_s) = 0)" % (s,))
 
 
-def _to_frac_mat(M):
-    return tuple(tuple(Fraction(x) for x in row) for row in M)
-
-
 def _over_z(A):
     """(N, q) with N an integer matrix and q > 0 the lcm of A's
     denominators, so that A == N / q."""
@@ -67,15 +63,12 @@ def _over_z(A):
     return tuple(tuple(x.numerator * (q // x.denominator) for x in row) for row in A), q
 
 
-def _commute(A, B):
-    return mat_mul(A, B) == mat_mul(B, A)
-
-
 class LocalSystem(Validated, namedtuple("LocalSystem", "holonomies")):
-    """One rank x rank matrix with Fraction entries per torus loop; every
-    LocalSystem read from a document or built by a caller is checked,
-    while mutate_local_system derives its result unchecked.  Equality is
-    tuple equality."""
+    """One rank x rank matrix over Q per torus loop, given as rows of ints
+    or Fractions and stored as tuples of Fractions; every LocalSystem read
+    from a document or built by a caller is normalized and checked, while
+    mutate_local_system derives its result unchecked.  Equality is tuple
+    equality."""
     __slots__ = ()
 
     @property
@@ -87,6 +80,8 @@ class LocalSystem(Validated, namedtuple("LocalSystem", "holonomies")):
         return len(self.holonomies[0]) if self.holonomies else 0
 
     def __new__(cls, holonomies):
+        holonomies = tuple(tuple(tuple(Fraction(x) for x in row) for row in A)
+                           for A in holonomies)
         s = tuple.__new__(cls, (holonomies,))
         rank = s.rank
         for A in holonomies:
@@ -100,13 +95,9 @@ class LocalSystem(Validated, namedtuple("LocalSystem", "holonomies")):
                 raise LocalSystemError("holonomies must be invertible")
         for i in range(s.n):
             for j in range(i + 1, s.n):
-                if not _commute(scaled[i], scaled[j]):
+                if mat_mul(scaled[i], scaled[j]) != mat_mul(scaled[j], scaled[i]):
                     raise LocalSystemError("holonomies must commute")
         return s
-
-
-def local_system(holonomies):
-    return LocalSystem(tuple(_to_frac_mat(A) for A in holonomies))
 
 
 def _power_product(pairs, n):
@@ -301,7 +292,7 @@ def deserialize_local_system(doc):
     """The LocalSystem of a document.  Its optional "rank" and "loops"
     must equal the shape of its holonomies."""
     with malformed(LocalSystemError, "local system"):
-        ls = local_system([[rationals(row) for row in A] for A in doc["holonomies"]])
+        ls = LocalSystem([[rationals(row) for row in A] for A in doc["holonomies"]])
         for key, value in (("rank", ls.rank), ("loops", ls.n)):
             if key in doc and as_int(doc[key]) != value:
                 raise ValueError("%s is %d but the holonomies give %d"

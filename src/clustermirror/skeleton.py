@@ -22,8 +22,7 @@ seed.  The records are namedtuples, equal as tuples.
 
 from collections import namedtuple
 
-from .lattice import (Validated, as_int, content, ints, is_primitive, malformed,
-                      primitive_part)
+from .lattice import Validated, as_int, content, ints, malformed, primitive_part
 from .toric_model import blowup_characters
 
 
@@ -45,7 +44,7 @@ class Skeleton(Validated, namedtuple("Skeleton", "n handles")):
         for h in handles:
             if len(h.psi) != n or len(h.chi) != n:
                 raise SkeletonError("handle data has wrong rank")
-            if not is_primitive(h.psi) or not is_primitive(h.chi):
+            if content(h.psi) != 1 or content(h.chi) != 1:
                 raise SkeletonError("handle character and cocharacter must be primitive")
             if sum(a * b for a, b in zip(h.psi, h.chi)) != 0:
                 raise SkeletonError("disk cocharacter must annihilate the handle character")

@@ -25,7 +25,7 @@ tuples.
 from collections import namedtuple
 from fractions import Fraction
 
-from .lattice import is_primitive, rational_strings, transpose
+from .lattice import content, rational_strings, transpose
 from .svg import SvgCanvas
 
 CONJUGATION_SIGN = -1
@@ -45,7 +45,7 @@ IntegralAffineBase2D = namedtuple("IntegralAffineBase2D", "singularities convent
 def monodromy_matrix(psi):
     if len(psi) != 2:
         raise ValueError("monodromy is a 2x2 construction")
-    if not is_primitive(psi):
+    if content(psi) != 1:
         raise ValueError("monodromy direction must be primitive")
     a, b = psi
     return ((1 + a * b, -a * a), (b * b, 1 - a * b))

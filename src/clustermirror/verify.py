@@ -17,7 +17,7 @@ from .seed import (Seed, exchange_matrix, matrix_mutation_oracle, mutate,
 from .skeleton import disk_surgery, skeleton_from_seed, intersection_number, dehn_twist
 from .syz_base import monodromy_matrix, base_from_fan, toggle_convention
 from .toric_model import StackyFan1D
-from .local_system import (SIGN_TWIST, NotMutable, holonomy_around, local_system,
+from .local_system import (SIGN_TWIST, LocalSystem, NotMutable, holonomy_around,
                            mutate_local_system)
 from .almost_toric import (MomentPolytope, NodalTrade, apply_trades,
                            smoothness_check)
@@ -211,10 +211,10 @@ def suite_coherence(rng, cases=100):
             b = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
             if a == 0 or b == 0:
                 continue
-            ls = local_system([((a,),), ((b,),)])
+            ls = LocalSystem([((a,),), ((b,),)])
         else:
             A, B = _random_commuting_pair(rng)
-            ls = local_system([A, B])
+            ls = LocalSystem([A, B])
         res = coherence_law_holds(ls, s)
         if res is None:
             continue

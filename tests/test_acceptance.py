@@ -24,7 +24,7 @@ from clustermirror.seed import (Seed, exchange_matrix, matrix_mutation_oracle,
 from clustermirror.skeleton import bondal_strata, circle_class
 from clustermirror.syz_base import monodromy_matrix
 from clustermirror.toric_model import StackyFan1D
-from clustermirror.local_system import NotMutable, local_system, mutate_local_system
+from clustermirror.local_system import LocalSystem, NotMutable, mutate_local_system
 from clustermirror.almost_toric import (MomentPolytope, NodalTrade,
                                         apply_trades, common_basepoint,
                                         render_svg, skeleton_from_base,
@@ -137,8 +137,8 @@ def test_criterion_6_bondal_strata():
 def test_criterion_7_local_system_rule():
     t0 = time.perf_counter()
     with pytest.raises(NotMutable):
-        mutate_local_system(local_system([((1,),), ((7,),)]), (1, 0))
-    _, adapted = mutate_local_system(local_system([((Fraction(5, 2),),), ((3,),)]), (1, 0))
+        mutate_local_system(LocalSystem([((1,),), ((7,),)]), (1, 0))
+    _, adapted = mutate_local_system(LocalSystem([((Fraction(5, 2),),), ((3,),)]), (1, 0))
     fixture_ok = adapted == (((Fraction(5, 2),),),
                              ((Fraction(1 - Fraction(5, 2)) * 3,),))
     rng = random.Random(7077)

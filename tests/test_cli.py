@@ -152,6 +152,22 @@ def test_base_trade_bounded_polygon_golden(tmp_path):
     assert out.read_bytes() == (FIXTURES / "trapezoid_trade.svg").read_bytes()
 
 
+def test_base_trade_ray_counts_by_its_direction(tmp_path):
+    # rays [0, 2] and [0, 1] name one direction: same SVG, same JSON
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(json.dumps({"dimension": 2, "vertices": [["0", "0"]],
+                                   "rays": [[0, 2], [1, 0]]}))
+    outs = []
+    for poly in (FIXTURES / "quadrant_polytope.json", doubled):
+        svg, js = tmp_path / (poly.stem + ".svg"), tmp_path / (poly.stem + ".out.json")
+        assert run(["base", "trade", "--polytope", str(poly),
+                    "--trades", str(FIXTURES / "std_trade.json"),
+                    "--out", str(svg), "--json", str(js)]) == 0
+        outs.append((svg.read_bytes(), js.read_bytes()))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == (FIXTURES / "std_trade.svg").read_bytes()
+
+
 def test_base_trade_eigenlines_meeting_pairwise_only_exit_3(tmp_path, capsys):
     # the eigenlines of the trades at vertices 0, 1 and 2 meet pairwise
     # but share no point
@@ -425,6 +441,9 @@ LOCSYS_S18 = str(FIXTURES / "locsys_s18.json")
                  {"rank": 2, "handles": [{"psi": [1, 0], "chi": [0, 1], "d": 0}]}, 2,
                  "handle multiplier must be positive", id="skeleton-d-0"),
     pytest.param(["skeleton", "surgery", "--handle", "1", "--skeleton"],
+                 {"rank": 2, "handles": [{"psi": [0, 0], "chi": [1, 0], "d": 1}]}, 2,
+                 "handle character and cocharacter must be primitive", id="skeleton-zero-psi"),
+    pytest.param(["skeleton", "surgery", "--handle", "1", "--skeleton"],
                  {"rank": 3, "handles": [{"psi": [1, 0, 0], "chi": [0, 1, 0], "d": 1}]}, 2,
                  "direct surgery is rank-2 only", id="surgery-rank-3"),
     pytest.param(["base", "syz", "--seed"], SEED3, 2, "SYZ base construction is rank-2 only",
@@ -510,6 +529,14 @@ def test_base_syz_viewport_exit_2(tmp_path, capsys):
         assert "viewport" in capsys.readouterr().err
 
 
+def test_base_syz_viewport_off_the_fan_draws_no_ray(tmp_path):
+    # the axis-parallel rays from the origin run along y = 0 and x = 0,
+    # outside [1, 3] x [1, 3]
+    out = tmp_path / "off.svg"
+    assert run(["base", "syz", "--seed", A2, "--viewport=1,1,3,3", "--out", str(out)]) == 0
+    assert 'stroke="#888888"' not in out.read_text()
+
+
 def test_base_syz_wide_viewport_golden(tmp_path):
     # a 500-unit span draws its grid at the multiples of 5: 101 lines
     out = tmp_path / "wide.svg"
@@ -593,6 +620,11 @@ CHART3 = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": ["0", "0",
     pytest.param(ORTHANT, {"trades": [{"target": 0, "chart": CHART3},
                                       {"target": [1, 2], "chart": CHART3}]},
                  [], "two distinct facet indices", id="3d-int-target"),
+    pytest.param({"dimension": 2, "vertices": []}, _fixture("std_trade.json"), [],
+                 "polygon needs at least one vertex", id="2d-no-vertices"),
+    pytest.param({"dimension": 2, "vertices": [["0", "0"]], "rays": [[0, 0], [1, 0]]},
+                 _fixture("std_trade.json"), [], "zero vector has no primitive part",
+                 id="2d-zero-ray-traded"),
     pytest.param({"dimension": 1, "vertices": [["0"]]}, _fixture("std_trade.json"), [],
                  "dimension must be at least 2", id="1d-polytope"),
     pytest.param(dict(ORTHANT, facets=[]), {"trades": [{"target": [0, 1], "chart": CHART3}]},

@@ -5,20 +5,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clustermirror.lattice import (AffineSubspace, as_rational, det,
-                                   ext_gcd, feasible, identity, is_primitive, mat_inv,
+from clustermirror.lattice import (AffineSubspace, as_rational, content, det,
+                                   ext_gcd, feasible, identity, mat_inv,
                                    mat_mul, primitive_part, solve_rational,
                                    unimodular_inverse)
 from clustermirror.skeleton import bondal_strata
 from clustermirror.toric_model import StackyFan1D
 
 
-def test_is_primitive_examples():
-    assert not is_primitive((2, 4))
-    assert is_primitive((1, 0))
-    assert is_primitive((3, 5, 7))
-    with pytest.raises(ValueError):
-        is_primitive((0, 0))
+def test_content_examples():
+    # primitive means content 1, so the zero vector (content 0) is not
+    assert content((2, 4)) == 2
+    assert content((1, 0)) == content((3, 5, 7)) == content((-1, 0)) == 1
+    assert content((0, 0)) == 0
 
 
 def test_primitive_part_of_rational_vectors():

@@ -19,7 +19,7 @@ from clustermirror import cli
 from clustermirror.almost_toric import (AlmostToricError, MomentPolytope, NodalTrade,
                                         apply_trades)
 from clustermirror.lattice import solve_rational
-from clustermirror.local_system import LocalSystem, LocalSystemError, local_system
+from clustermirror.local_system import LocalSystem, LocalSystemError
 from clustermirror.seed import ExchangeMatrix, Seed, SeedError, exchange_matrix
 from clustermirror.skeleton import (Handle, Skeleton, SkeletonError, bondal_strata,
                                     skeleton_from_seed)
@@ -76,7 +76,7 @@ def _every_record():
     model = toric_model(A2)
     syz = base_from_fan(model.fan)
     sk = skeleton_from_seed(A2)
-    return [A2, exchange_matrix(A2), local_system([HALF]), QUADRANT, base.singularities[0].trade,
+    return [A2, exchange_matrix(A2), LocalSystem([HALF]), QUADRANT, base.singularities[0].trade,
             base.singularities[0], base, model, model.fan, syz, syz.singularities[0], sk,
             sk.handles[0], bondal_strata(model.fan)[0], solve_rational(((1, 0), (0, 1)), (1, 2))]
 
