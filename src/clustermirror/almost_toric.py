@@ -57,6 +57,8 @@ class MomentPolytope(Validated, namedtuple("MomentPolytope", "dimension vertices
                 raise AlmostToricError("polygon needs at least one vertex")
             if rays and len(rays) != 2:
                 raise AlmostToricError("unbounded polygon carries exactly two ray directions")
+            if any(not any(ray) for ray in rays):
+                raise AlmostToricError("a ray direction must be nonzero")
             if not rays and len(vertices) < 3:
                 raise AlmostToricError("bounded polygon needs at least three vertices")
         elif dimension > 2:
@@ -82,10 +84,9 @@ class NodalTrade(Validated, namedtuple("NodalTrade", "target chart t")):
 
 
 # chart: (M, p); position: 2D point, or point on the singular locus in
-# nD; locus_basis: () in 2D, basis of the codim-2 locus in nD; eigen:
-# primitive direction of the eigenline / plane; monodromy: None above
-# dimension 2
-Singularity = namedtuple("Singularity", "trade chart position locus_basis eigen monodromy")
+# nD; eigen: primitive direction of the eigenline / plane; monodromy:
+# None above dimension 2
+Singularity = namedtuple("Singularity", "trade chart position eigen monodromy")
 AlmostToricBase = namedtuple("AlmostToricBase", "polytope singularities interactions")
 
 
@@ -185,7 +186,7 @@ def _trade_singularity(poly, trade):
     eigen = primitive_part(tuple(row[0] + row[1] for row in Minv))
     mono = (mat_mul(mat_mul(transpose(M), FOCUS_FOCUS), transpose(Minv))
             if len(M) == 2 else None)
-    return Singularity(trade, chart, pos, transpose(Minv)[2:], eigen, mono)
+    return Singularity(trade, chart, pos, eigen, mono)
 
 
 def detect_interactions(poly, trades):
@@ -252,7 +253,7 @@ def smoothness_check(base):
 def _eigen_equation(sing):
     """normal . x = rhs for the eigenline (2D) or eigenhyperplane (nD)
     through the singular locus."""
-    if not sing.locus_basis:    # 2D: an nD locus has n - 2 >= 1 basis rows
+    if len(sing.position) == 2:
         nrm = circle_class(sing.eigen)
     else:
         M, _p = sing.chart

@@ -182,20 +182,21 @@ def cmd_seed_mutate(args):
 
 
 def cmd_seed_graph(args):
-    from .seed import deserialize_seed, exchange_graph
+    from .seed import deserialize_seed, exchange_graph, serialize_seed
     s = deserialize_seed(_load_json(args.seed))
     g = exchange_graph(s, args.depth)
-    # every node is dict(serialize_seed(s), psi=...): one node text serves
-    # all, cut at a "\x00" psi, unique as the graph's only strings are keys
+    # each node is serialize_seed(s) with its own psi: one node text serves
+    # all, cut at a "\x00" psi, unique as the document's only strings are keys
     mark = encode_basestring_ascii("\x00")
-    head, _, tail = _dump_json(dict(g, nodes="\x00")).partition(mark)
+    edges = [{"source": a, "target": b, "mutation": k} for a, b, k in g["edges"]]
+    head, _, tail = _dump_json(dict(g, nodes="\x00", edges=edges)).partition(mark)
     node = []
-    _write_json(dict(g["nodes"][0], psi="\x00"), "\n    ", node)
+    _write_json(dict(serialize_seed(s), psi="\x00"), "\n    ", node)
     before, _, after = "".join(node).partition(mark)
     out = [head, "[\n    "]
-    for doc in g["nodes"]:
+    for psi in g["nodes"]:
         out.append(before)
-        _write_json(doc["psi"], "\n      ", out)
+        _write_json(psi, "\n      ", out)
         out.append(after + ",\n    ")
     out[-1] = after + "\n  ]" + tail
     _write(args.out, "".join(out))

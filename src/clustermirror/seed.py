@@ -199,8 +199,9 @@ def node_budget():
 def exchange_graph(s, depth):
     """Breadth-first exchange graph out to the given mutation depth.
 
-    Nodes are seeds up to unfrozen permutation; edges are labeled by the
-    mutation index.  Output is deterministic: layers are explored in
+    Nodes are seeds up to unfrozen permutation, returned as their bases
+    psi, node 0 being s.psi; edges are sorted (source, target, mutation
+    index) triples.  Output is deterministic: layers are explored in
     order and new nodes within a layer are sorted by the JSON text of
     their psi.  That is the order of their whole serialized form
     (`json.dumps(serialize_seed(child), sort_keys=True)`): mutation
@@ -215,10 +216,6 @@ def exchange_graph(s, depth):
     the graph derives, so validate_seed never runs on one: as
     mutate_sequence shows, no check it makes can fail there.  Nodes are
     keyed by _node_key, since n, r, B and d are shared by every node.
-
-    Every node document refers to the same B and d lists, built once,
-    so the returned graph is read-only: a change to one node's "B" or
-    "d" changes them all.
     """
     if depth < 0:
         raise SeedError("depth must be nonnegative")
@@ -257,12 +254,4 @@ def exchange_graph(s, depth):
             index[ckey] = cid
             frontier.append(cid)
             edges.add((src, cid, k))
-    doc = serialize_seed(s)
-    return {
-        "nodes": [dict(doc, psi=[list(p) for p in psi]) for psi in nodes],
-        "edges": [
-            {"source": a, "target": b, "mutation": k}
-            for a, b, k in sorted(edges)
-        ],
-        "truncated": truncated,
-    }
+    return {"nodes": nodes, "edges": sorted(edges), "truncated": truncated}

@@ -207,7 +207,6 @@ def test_nd_trades_and_interactions():
     s0 = base.singularities[0]
     assert s0.position == (Fraction(1), Fraction(1), Fraction(0), Fraction(0))
     assert s0.eigen == (1, 1, 0, 0)
-    assert len(s0.locus_basis) == 2
     q, sub = common_basepoint(base)
     sk = skeleton_from_base(base, q)
     assert sk.handles[0] == Handle((1, 1, 0, 0), (1, -1, 0, 0), 1)

@@ -597,6 +597,7 @@ def _fixture(name):
 ORTHANT = {"dimension": 3, "facets": [{"normal": n, "rhs": "0"}
                                       for n in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
 CHART3 = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": ["0", "0", "0"]}
+ZERO_RAY = {"dimension": 2, "vertices": [["0", "1"], ["1", "0"]], "rays": [[0, 0], [1, 0]]}
 
 
 @pytest.mark.parametrize("polytope, trades, flags, message", [
@@ -622,9 +623,17 @@ CHART3 = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": ["0", "0",
                  [], "two distinct facet indices", id="3d-int-target"),
     pytest.param({"dimension": 2, "vertices": []}, _fixture("std_trade.json"), [],
                  "polygon needs at least one vertex", id="2d-no-vertices"),
-    pytest.param({"dimension": 2, "vertices": [["0", "0"]], "rays": [[0, 0], [1, 0]]},
-                 _fixture("std_trade.json"), [], "zero vector has no primitive part",
+    # a zero ray is refused whichever vertex is traded, and with no trade
+    pytest.param(ZERO_RAY, _fixture("std_trade.json"), [], "a ray direction must be nonzero",
                  id="2d-zero-ray-traded"),
+    pytest.param(ZERO_RAY, {"trades": [{"target": 1}]}, [], "a ray direction must be nonzero",
+                 id="2d-zero-ray-other-vertex-traded"),
+    pytest.param(ZERO_RAY, {"trades": []}, [], "a ray direction must be nonzero",
+                 id="2d-zero-ray-no-trades"),
+    pytest.param({"dimension": 2, "vertices": [["0", "0"]], "rays": [[0, 1]]},
+                 _fixture("std_trade.json"), [], "exactly two ray directions", id="2d-one-ray"),
+    pytest.param(_fixture("quadrant_polytope.json"), {"trades": []}, ["--skeleton"],
+                 "no trades, no eigenloci", id="2d-skeleton-no-trades"),
     pytest.param({"dimension": 1, "vertices": [["0"]]}, _fixture("std_trade.json"), [],
                  "dimension must be at least 2", id="1d-polytope"),
     pytest.param(dict(ORTHANT, facets=[]), {"trades": [{"target": [0, 1], "chart": CHART3}]},

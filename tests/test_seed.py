@@ -203,17 +203,17 @@ def _count_validations(monkeypatch):
 ])
 def test_graph_validates_each_new_node_once(monkeypatch, seed, depth, budget):
     # exchange_graph itself validates no node it derives; each new node is
-    # validated once when its document is read back, and passes
+    # validated once when it is built as a Seed, and passes
     if budget is not None:
         monkeypatch.setenv("CLUSTERMIRROR_BUDGET", budget)
     s = deserialize_seed(json.loads((FIXTURES / seed).read_text()))
     calls = _count_validations(monkeypatch)
     g = exchange_graph(s, depth)
     assert calls == []
-    for doc in g["nodes"][1:]:
-        deserialize_seed(doc)
+    for psi in g["nodes"][1:]:
+        Seed(s.n, s.r, psi, s.B, s.d)
     assert len(calls) == len(g["nodes"]) - 1
-    assert [serialize_seed(c) for c in calls] == g["nodes"][1:]
+    assert [c.psi for c in calls] == g["nodes"][1:]
 
 
 def test_mutate_sequence_validates_once(monkeypatch):
@@ -259,10 +259,7 @@ def _reference_graph(s, depth, budget):
                 frontier.append(len(nodes))
                 edges.add((src, len(nodes), k))
                 nodes.append(child)
-    return {"nodes": [serialize_seed(x) for x in nodes],
-            "edges": [{"source": a, "target": b, "mutation": k}
-                      for a, b, k in sorted(edges)],
-            "truncated": truncated}
+    return {"nodes": [x.psi for x in nodes], "edges": sorted(edges), "truncated": truncated}
 
 
 @st.composite
@@ -357,8 +354,8 @@ def test_derived_seeds_stay_valid(s, depth, budget, ks):
         calls = _count_validations(mp)
         g = exchange_graph(s, depth)
         assert calls == []
-    for doc in g["nodes"]:
-        seed_module.validate_seed(deserialize_seed(doc))
+    for psi in g["nodes"]:
+        seed_module.validate_seed(s._replace(psi=psi))
     # mutation at k multiplies psi by E_k, and det E_k = -1
     ks = [k % s.r for k in ks]
     m = mutate_sequence(s, ks)
@@ -366,13 +363,21 @@ def test_derived_seeds_stay_valid(s, depth, budget, ks):
     assert det(m.psi) == (-1) ** len(ks) * det(s.psi)
 
 
-def test_graph_nodes_share_B_and_d():
-    g = exchange_graph(A2, 4)
-    first = g["nodes"][0]
-    assert len(g["nodes"]) > 1
-    for node in g["nodes"]:
-        assert node["B"] is first["B"] and node["d"] is first["d"]
-    assert g["nodes"][0] == serialize_seed(A2)
+@pytest.mark.parametrize("seed, depth", [("a2_seed.json", 4), ("rank5_frozen_seed.json", 3)])
+def test_graph_returns_bases_and_edge_triples(seed, depth):
+    # a node is its basis alone, the input seed's first; an edge is a
+    # (source, target, mutation index) triple, and the edges come sorted
+    s = deserialize_seed(json.loads((FIXTURES / seed).read_text()))
+    g = exchange_graph(s, depth)
+    assert set(g) == {"nodes", "edges", "truncated"} and len(g["nodes"]) > 1
+    assert g["nodes"][0] == s.psi
+    for psi in g["nodes"]:
+        assert type(psi) is tuple and len(psi) == s.n
+        for p in psi:
+            assert type(p) is tuple and len(p) == s.n and all(type(x) is int for x in p)
+    assert g["edges"] and g["edges"] == sorted(set(g["edges"]))
+    for e in g["edges"]:
+        assert type(e) is tuple and len(e) == 3 and all(type(x) is int for x in e)
 
 
 @settings(max_examples=60, deadline=None)
@@ -394,7 +399,10 @@ def test_graph_output_matches_json_dumps(s, depth, budget):
             assert cli.main(["seed", "graph", "--seed", str(path),
                              "--depth", str(depth)]) == 0
         g = exchange_graph(s, depth)
-    assert out.getvalue() == json.dumps(g, indent=2, sort_keys=True) + "\n"
+    doc = {"nodes": [dict(serialize_seed(s), psi=psi) for psi in g["nodes"]],
+           "edges": [{"source": a, "target": b, "mutation": k} for a, b, k in g["edges"]],
+           "truncated": g["truncated"]}
+    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_serialize_seed_returns_fresh_lists():

@@ -24,6 +24,17 @@ def _column_d0(psi, B, d, k):
     return ORIGINAL_COLUMN(psi, B, d[:1] * len(d), k)
 
 
+def _mutated_psi_opposite_sign(psi, B, d, k):
+    # psi'_i = psi_i + [-eps_ik]_+ psi_k: mutation gives the matrix rule's
+    # eps and eps returns after two steps, so only the check that double
+    # mutation is the transvection by eps sees it (it is the one by -eps)
+    pk = psi[k]
+    new_psi = [tuple(a - c * b for a, b in zip(p, pk)) if c < 0 else p
+               for p, c in zip(psi, ORIGINAL_COLUMN(psi, B, d, k))]
+    new_psi[k] = tuple(-a for a in pk)
+    return tuple(new_psi)
+
+
 def _dehn_twist_flipped(c, about):
     m = skeleton.intersection_number(c, about)
     return (c[0] - m * about[0], c[1] - m * about[1])
@@ -47,6 +58,7 @@ def _corner_basis_reversed(poly, i):
 
 FAULTS = [
     ("epsilon", seed, "_column", _column_d0),
+    ("epsilon", seed, "_mutated_psi", _mutated_psi_opposite_sign),
     ("dictionary", skeleton, "dehn_twist", _dehn_twist_flipped),
     ("duality", verify, "monodromy_matrix", _monodromy_diagonal_swapped),
     ("smoothness", almost_toric, "transport_matrix", _transport_transposed),
