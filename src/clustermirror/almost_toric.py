@@ -61,6 +61,10 @@ class MomentPolytope(Validated, namedtuple("MomentPolytope", "dimension vertices
                 raise AlmostToricError("a ray direction must be nonzero")
             if not rays and len(vertices) < 3:
                 raise AlmostToricError("bounded polygon needs at least three vertices")
+            # vertices[-1] precedes vertex 0 when the polygon is bounded
+            for i in range(1 if rays else 0, len(vertices)):
+                if vertices[i] == vertices[i - 1]:
+                    raise AlmostToricError("vertex %d repeats the vertex before it" % i)
         elif dimension > 2:
             if not facets:
                 raise AlmostToricError("H-representation needs facets")

@@ -182,24 +182,32 @@ def cmd_seed_mutate(args):
 
 
 def cmd_seed_graph(args):
+    """Write the graph document from exchange_graph's data.  The frame
+    and the node text that every node shares are laid out by _write_json
+    around a "\x00" placeholder, unique as the document's only strings
+    are keys.  Each node's psi is its compact JSON text, expanded.  psi
+    holds only ints, read by as_int and changed only by int arithmetic,
+    so in that text "], [" and ", " occur only between rows and between
+    entries, "[[" and "]]" only at the ends (an empty psi "[]" has
+    neither), and no float can reach the output."""
     from .seed import deserialize_seed, exchange_graph, serialize_seed
     s = deserialize_seed(_load_json(args.seed))
     g = exchange_graph(s, args.depth)
-    # each node is serialize_seed(s) with its own psi: one node text serves
-    # all, cut at a "\x00" psi, unique as the document's only strings are keys
     mark = encode_basestring_ascii("\x00")
-    edges = [{"source": a, "target": b, "mutation": k} for a, b, k in g["edges"]]
-    head, _, tail = _dump_json(dict(g, nodes="\x00", edges=edges)).partition(mark)
+    # "edges" sorts before "nodes"
+    head, mid, tail = _dump_json({"edges": "\x00", "nodes": "\x00",
+                                  "truncated": g["truncated"]}).split(mark)
     node = []
     _write_json(dict(serialize_seed(s), psi="\x00"), "\n    ", node)
     before, _, after = "".join(node).partition(mark)
-    out = [head, "[\n    "]
-    for psi in g["nodes"]:
-        out.append(before)
-        _write_json(psi, "\n      ", out)
-        out.append(after + ",\n    ")
-    out[-1] = after + "\n  ]" + tail
-    _write(args.out, "".join(out))
+    edge = '{\n      "mutation": %d,\n      "source": %d,\n      "target": %d\n    }'
+    edges = ",\n    ".join([edge % (k, a, b) for a, b, k in g["edges"]])
+    nodes = (after + ",\n    " + before).join([
+        t.replace("], [", "\n        ],\n        [\n          ").replace(", ", ",\n          ")
+        .replace("[[", "[\n        [\n          ").replace("]]", "\n        ]\n      ]")
+        for t in g["texts"]])
+    _write(args.out, "".join((head, "[\n    " + edges + "\n  ]" if edges else "[]", mid,
+                              "[\n    ", before, nodes, after, "\n  ]", tail)))
 
 
 def cmd_seed_model(args):

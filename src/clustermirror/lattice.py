@@ -158,13 +158,16 @@ def rationals(x, n=None):
 @contextmanager
 def malformed(error, what):
     """Wraps a document reader: a missing key, a wrong type or a bad value
-    becomes error("malformed <what> document: ..."), while the module's
-    own error passes through unchanged."""
+    becomes error("malformed <what> document: ..."), naming a missing key
+    as "missing key 'name'", while the module's own error passes through
+    unchanged."""
     try:
         yield
     except error:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except KeyError as e:
+        raise error("malformed %s document: missing key %r" % (what, e.args[0]))
+    except (TypeError, ValueError) as e:
         raise error("malformed %s document: %s" % (what, e))
 
 

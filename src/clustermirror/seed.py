@@ -20,9 +20,10 @@ tests quantify over.
 import json
 import os
 from collections import namedtuple
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
-from .lattice import Validated, as_int, det, ints, malformed
+from .lattice import _DIGIT_BOUND, _MAX_EXPONENT, Validated, as_int, det, ints, malformed
 
 
 class SeedError(ValueError):
@@ -101,10 +102,15 @@ def plus(r):
 
 def _mutated_psi(psi, B, d, k):
     """The basis psi after mutation at k, with no check of k or of the
-    result; callers check both."""
+    result; callers check both.  As in _column, B psi_k is formed once;
+    each row's coefficient eps_ik and its update then take one pass."""
     pk = psi[k]
-    new_psi = [tuple(a + c * b for a, b in zip(p, pk)) if c > 0 else p
-               for p, c in zip(psi, _column(psi, B, d, k))]
+    Bpk = [sum(map(mul, row, pk)) for row in B]
+    dk = d[k]
+    new_psi = []
+    for p in psi:
+        c = sum(map(mul, p, Bpk))    # eps_ik / d_k, positive as eps_ik is
+        new_psi.append(tuple(map(add, p, map(mul, repeat(c * dk), pk))) if c > 0 else p)
     new_psi[k] = tuple(-a for a in pk)
     return tuple(new_psi)
 
@@ -117,17 +123,25 @@ def mutate(s, k):
 def mutate_sequence(s, ks):
     """Mutations at the unfrozen indices ks, in order.
 
-    Each index is checked before its step.  The result skips
-    validate_seed, since no check it makes can fail there: mutation at k
-    sends psi to E_k psi, where E_k is the identity but for column k,
-    E[i][k] = [eps_ik]_+ (i != k) and E[k][k] = -1, so det E_k = -1 and
-    psi stays a Z-basis; n, r, B and d are s's own, so the shape,
-    skew-symmetry and multiplier checks hold as they do on s."""
+    Each index is checked before its step, and the step's entries after
+    it: an entry of more than _MAX_EXPONENT (4300) digits is past the
+    integer budget, which no writer could print, and as the digits can
+    double with each step the sequence stops there.  exchange_graph
+    makes no such check.
+
+    The result skips validate_seed, since no check it makes can fail
+    there: mutation at k sends psi to E_k psi, where E_k is the identity
+    but for column k, E[i][k] = [eps_ik]_+ (i != k) and E[k][k] = -1, so
+    det E_k = -1 and psi stays a Z-basis; n, r, B and d are s's own, so
+    the shape, skew-symmetry and multiplier checks hold as they do on s."""
     psi = s.psi
-    for k in ks:
+    for step, k in enumerate(ks, 1):
         if not (0 <= k < s.r):
             raise SeedError("mutation only at unfrozen vectors")
         psi = _mutated_psi(psi, s.B, s.d, k)
+        if any(abs(x) >= _DIGIT_BOUND for p in psi for x in p):
+            raise SeedError("mutation step %d makes an entry of more than %d digits, "
+                            "past the integer budget" % (step, _MAX_EXPONENT))
     return tuple.__new__(Seed, (s.n, s.r, psi, s.B, s.d))
 
 
@@ -200,10 +214,11 @@ def exchange_graph(s, depth):
     """Breadth-first exchange graph out to the given mutation depth.
 
     Nodes are seeds up to unfrozen permutation, returned as their bases
-    psi, node 0 being s.psi; edges are sorted (source, target, mutation
-    index) triples.  Output is deterministic: layers are explored in
-    order and new nodes within a layer are sorted by the JSON text of
-    their psi.  That is the order of their whole serialized form
+    psi, node 0 being s.psi, and under "texts", in the same order, as the
+    JSON text json.dumps(psi) of each; edges are sorted (source, target,
+    mutation index) triples.  Output is deterministic: layers are
+    explored in order and new nodes within a layer are sorted by that
+    text.  That is the order of their whole serialized form
     (`json.dumps(serialize_seed(child), sort_keys=True)`): mutation
     leaves rank, unfrozen, B and d alone, so those agree on every node,
     and with sorted keys the texts first differ inside "psi".  A psi
@@ -222,6 +237,7 @@ def exchange_graph(s, depth):
     budget = node_budget()
     r, B, d = s.r, s.B, s.d
     nodes = [s.psi]                      # bases in discovery order
+    texts = [json.dumps(s.psi)]
     index = {_node_key(s.psi, r, d): 0}  # node key -> node id
     edges = set()
     truncated = False
@@ -242,7 +258,7 @@ def exchange_graph(s, depth):
                     discovered.append((json.dumps(child), child, nid, k, ckey))
         discovered.sort(key=lambda item: item[0])
         frontier = []
-        for _, child, src, k, ckey in discovered:
+        for text, child, src, k, ckey in discovered:
             if ckey in index:
                 edges.add((src, index[ckey], k))
                 continue
@@ -251,7 +267,8 @@ def exchange_graph(s, depth):
                 continue
             cid = len(nodes)
             nodes.append(child)
+            texts.append(text)
             index[ckey] = cid
             frontier.append(cid)
             edges.add((src, cid, k))
-    return {"nodes": nodes, "edges": sorted(edges), "truncated": truncated}
+    return {"nodes": nodes, "texts": texts, "edges": sorted(edges), "truncated": truncated}

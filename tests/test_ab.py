@@ -98,8 +98,8 @@ def test_verdict_from_the_bound():
     assert verdict(lambda seed: 150 + seed, 0.01) == ("within bound",) * 2
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_main_writes_bench_file(tmp_path, monkeypatch):
+def _repo(tmp_path):
+    """A git checkout at tmp_path with a BENCHMARK.json; returns its git."""
     def git(*args):
         subprocess.run(("git", "-c", "user.name=t", "-c", "user.email=t@example.com")
                        + args, cwd=tmp_path, check=True, capture_output=True)
@@ -109,6 +109,12 @@ def test_main_writes_bench_file(tmp_path, monkeypatch):
         "end_to_end": [{"name": n, "unit": u, "better": b, "bound": x}
                        for n, (u, b, x) in METRICS.items()]}))
     git("init", "-q")
+    return git
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_main_writes_bench_file(tmp_path, monkeypatch):
+    git = _repo(tmp_path)
     for version in ("old", "new"):
         (tmp_path / "src.txt").write_text(version)
         (tmp_path / "perfbench" / "run.py").write_text(version)
@@ -142,3 +148,33 @@ def test_main_writes_bench_file(tmp_path, monkeypatch):
     assert w["metrics"]["ops_per_s"]["wins"] == 3
     assert set(w["metrics"]) == set(METRICS)
     assert w["metrics"]["ops_per_s"]["verdict"] == "within bound"
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_main_refuses_uncommitted_code(tmp_path, monkeypatch, capsys):
+    # git archive exports HEAD alone, so an edit under src/ or perfbench/
+    # would be left out of the change's side; an edit elsewhere would not
+    git = _repo(tmp_path)
+    (tmp_path / "src").mkdir()
+    for name in ("src/a.py", "src/b.py", "perfbench/run.py", "README.md"):
+        (tmp_path / name).write_text("old")
+    git("add", "-A")
+    git("commit", "-q", "-m", "old")
+    git("commit", "-q", "--allow-empty", "-m", "new")
+    (tmp_path / "src" / "a.py").write_text("edited")
+    (tmp_path / "src" / "b.py").write_text("staged")
+    git("add", "src/b.py")
+    (tmp_path / "perfbench" / "extra.py").write_text("untracked")
+    (tmp_path / "README.md").write_text("edited")
+
+    def run(*args):
+        raise AssertionError("no pair may run")
+    monkeypatch.setattr(ab, "ROOT", str(tmp_path))
+    monkeypatch.setattr(ab, "run_bench", run)
+    argv = ["--parent", "HEAD~1", "--pr", "99", "--pairs", "3", "--first-seed", "40"]
+    assert ab.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "uncommitted files under src/ or perfbench/" in err
+    listed = err.rstrip().rpartition(": ")[2].split(", ")
+    assert sorted(listed) == ["perfbench/extra.py", "src/a.py", "src/b.py"]
+    assert not (tmp_path / "BENCH_99.json").exists()

@@ -450,6 +450,22 @@ LOCSYS_S18 = str(FIXTURES / "locsys_s18.json")
                  id="syz-rank-3"),
     pytest.param(["base", "syz", "--seed", A2, "--radii", "1,2,3"], None, 2,
                  "need one radius per ray", id="syz-radii-count"),
+    # the first 25 indices over {1, 2, 3} drawn by random.Random(7).choice,
+    # a draw equal to the one before skipped; the first 23 steps exit 0
+    pytest.param(["seed", "mutate", "--sequence",
+                  "2,1,2,3,1,3,1,2,3,1,3,1,2,1,3,2,1,3,1,3,1,3,2,1,3", "--seed"],
+                 dict(SEED3, B=[[0, 3, 0], [-3, 0, 3], [0, -3, 0]]), 2,
+                 "mutation step 24 makes an entry of more than 4300 digits, "
+                 "past the integer budget", id="seed-mutate-digit-budget"),
+    pytest.param(["seed", "mutate", "--sequence", "1", "--seed"],
+                 {k: v for k, v in SEED3.items() if k != "d"}, 2,
+                 "malformed seed document: missing key 'd'", id="seed-missing-key"),
+    pytest.param(["skeleton", "surgery", "--handle", "1", "--skeleton"],
+                 {"rank": 2, "handles": [{"psi": [1, 0], "chi": [0, 1]}]}, 2,
+                 "malformed skeleton document: missing key 'd'", id="skeleton-missing-key"),
+    pytest.param(LOCSYS, {"rank": 1}, 2,
+                 "malformed local system document: missing key 'holonomies'",
+                 id="locsys-missing-key"),
 ])
 def test_refusal_exits_with_its_message(tmp_path, capsys, argv, doc, code, message):
     # doc, if given, is written to a file whose path ends argv
@@ -598,6 +614,7 @@ ORTHANT = {"dimension": 3, "facets": [{"normal": n, "rhs": "0"}
                                       for n in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
 CHART3 = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": ["0", "0", "0"]}
 ZERO_RAY = {"dimension": 2, "vertices": [["0", "1"], ["1", "0"]], "rays": [[0, 0], [1, 0]]}
+REPEATED = {"dimension": 2, "vertices": [["0", "0"], ["0", "0"], ["2", "0"], ["0", "2"]]}
 
 
 @pytest.mark.parametrize("polytope, trades, flags, message", [
@@ -632,6 +649,20 @@ ZERO_RAY = {"dimension": 2, "vertices": [["0", "1"], ["1", "0"]], "rays": [[0, 0
                  id="2d-zero-ray-no-trades"),
     pytest.param({"dimension": 2, "vertices": [["0", "0"]], "rays": [[0, 1]]},
                  _fixture("std_trade.json"), [], "exactly two ray directions", id="2d-one-ray"),
+    # a repeated vertex is refused whichever vertex is traded, the wrap
+    # of a bounded polygon included
+    pytest.param(REPEATED, {"trades": [{"target": 2}]}, [],
+                 "vertex 1 repeats the vertex before it", id="2d-repeated-vertex-other-traded"),
+    pytest.param(REPEATED, {"trades": [{"target": 0}]}, [],
+                 "vertex 1 repeats the vertex before it", id="2d-repeated-vertex-traded"),
+    pytest.param(dict(REPEATED, vertices=REPEATED["vertices"][1:] + [["0", "0"]]),
+                 {"trades": [{"target": 1}]}, [], "vertex 0 repeats the vertex before it",
+                 id="2d-repeated-vertex-wrap"),
+    pytest.param(_fixture("quadrant_polytope.json"), {"trades": [{"t": "1"}]}, [],
+                 "malformed trade document: missing key 'target'", id="trade-missing-key"),
+    pytest.param({"vertices": [["0", "0"]]}, _fixture("std_trade.json"), [],
+                 "malformed polytope document: missing key 'dimension'",
+                 id="polytope-missing-key"),
     pytest.param(_fixture("quadrant_polytope.json"), {"trades": []}, ["--skeleton"],
                  "no trades, no eigenloci", id="2d-skeleton-no-trades"),
     pytest.param({"dimension": 1, "vertices": [["0"]]}, _fixture("std_trade.json"), [],

@@ -232,7 +232,8 @@ def _reference_graph(s, depth, budget):
     """Breadth-first search built only from mutate and seed_equivalent:
     every child is a Seed from mutate, found nodes are looked up by a
     linear scan, and new nodes of a layer are kept in the order of
-    their whole serialized text."""
+    their whole serialized text.  Each node's text is json.dumps of its
+    psi."""
     nodes, edges, truncated, frontier = [s], set(), False, [0]
     for _ in range(depth):
         if truncated or not frontier:
@@ -259,7 +260,8 @@ def _reference_graph(s, depth, budget):
                 frontier.append(len(nodes))
                 edges.add((src, len(nodes), k))
                 nodes.append(child)
-    return {"nodes": [x.psi for x in nodes], "edges": sorted(edges), "truncated": truncated}
+    return {"nodes": [x.psi for x in nodes], "texts": [json.dumps(x.psi) for x in nodes],
+            "edges": sorted(edges), "truncated": truncated}
 
 
 @st.composite
@@ -365,12 +367,14 @@ def test_derived_seeds_stay_valid(s, depth, budget, ks):
 
 @pytest.mark.parametrize("seed, depth", [("a2_seed.json", 4), ("rank5_frozen_seed.json", 3)])
 def test_graph_returns_bases_and_edge_triples(seed, depth):
-    # a node is its basis alone, the input seed's first; an edge is a
-    # (source, target, mutation index) triple, and the edges come sorted
+    # a node is its basis alone, the input seed's first, and its text is
+    # json.dumps of that basis; an edge is a (source, target, mutation
+    # index) triple, and the edges come sorted
     s = deserialize_seed(json.loads((FIXTURES / seed).read_text()))
     g = exchange_graph(s, depth)
-    assert set(g) == {"nodes", "edges", "truncated"} and len(g["nodes"]) > 1
+    assert set(g) == {"nodes", "texts", "edges", "truncated"} and len(g["nodes"]) > 1
     assert g["nodes"][0] == s.psi
+    assert g["texts"] == [json.dumps(psi) for psi in g["nodes"]]
     for psi in g["nodes"]:
         assert type(psi) is tuple and len(psi) == s.n
         for p in psi:
@@ -387,9 +391,12 @@ def test_graph_returns_bases_and_edge_triples(seed, depth):
               ((0, 1, 0), (-1, 0, 1), (0, -1, 0)), (1, 2, 1)), 3, 60)   # unfrozen = 0
 @example(A2, 3, 1)                                                       # truncated
 @example(A2, 6, 60)                                                      # 46 nodes
+@example(Seed(1, 1, ((1,),), ((0,),), (1,)), 2, 60)                     # psi [[1]], [[-1]]
+@example(Seed(0, 0, (), (), ()), 1, 60)                                 # psi []
+@example(Seed(2, 2, ((13, -4), (-10, 3)), ((0, 3), (-3, 0)), (1, 2)), 6, 60)   # multi-digit
 def test_graph_output_matches_json_dumps(s, depth, budget):
-    # seed graph writes the graph from one node text; its bytes are
-    # still those of json.dumps on the whole graph
+    # seed graph writes each node from one node text and its psi's compact
+    # text; its bytes are still those of json.dumps on the whole graph
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setenv("CLUSTERMIRROR_BUDGET", str(budget))
         path = Path(tmp) / "seed.json"

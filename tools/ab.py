@@ -31,6 +31,10 @@ spread hides a regression of the bound's size; else "within bound".
 Per workload it also holds the seeds, which side ran first, the pairs
 whose run digests are equal, and the attempted and failed answers of
 each side; at the top, both commits and the Python version.
+
+The exports hold committed files only, so the tool exits 2, listing
+them, while any file under `src/` or `perfbench/` is modified, staged or
+untracked: a run would measure the change without them.
 """
 
 import argparse
@@ -54,6 +58,13 @@ DIGEST = re.compile(r"digest ([0-9a-f]+)")
 def git(*args):
     return subprocess.run(("git",) + args, cwd=ROOT, check=True,
                           stdout=subprocess.PIPE).stdout
+
+
+def uncommitted():
+    """The files under src/ and perfbench/ that differ from HEAD or are
+    untracked, as git status lists them."""
+    out = git("status", "--porcelain", "--untracked-files=all", "--", "src", "perfbench")
+    return [line[3:] for line in out.decode().splitlines()]
 
 
 def export(ref, dest):
@@ -157,6 +168,12 @@ def main(argv=None):
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--first-seed", type=int, required=True)
     args = p.parse_args(argv)
+    dirty = uncommitted()
+    if dirty:
+        print("ab.py: uncommitted files under src/ or perfbench/ would be left out of "
+              "the export of HEAD; commit or stash them: %s" % ", ".join(dirty),
+              file=sys.stderr)
+        return 2
     metrics = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     # resolved once, so that a commit made during the run changes nothing
