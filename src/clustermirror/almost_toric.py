@@ -133,13 +133,15 @@ def _trade_chart(poly, trade):
 
     An omitted chart is derived at a smooth 2D corner, taking it to the
     standard corner of (R>=0)^2 with p the vertex; above dimension 2 it
-    must be given.  An explicit chart must be n x n, and above
-    dimension 2 rows 0 and 1 of M must be the normals of the target
-    facets, in order, with p on both.  _trade_singularity, which inverts
-    M, rejects a chart that is not unimodular.  Explicit 2D charts are not
-    checked against the corner: verify.suite_duality trades at the quadrant's
-    corner with off-corner charts (shear . A^{-1}) to test how the
-    recorded monodromy transforms."""
+    must be given.  The trade must then fit: 2t must be less than the
+    lattice length of each finite edge at the corner, so that the model
+    triangle stops short of the next vertex.  An explicit chart must be
+    n x n, and above dimension 2 rows 0 and 1 of M must be the normals
+    of the target facets, in order, with p on both.  _trade_singularity,
+    which inverts M, rejects a chart that is not unimodular.  Explicit
+    2D charts are not checked against the corner: verify.suite_duality
+    trades at the quadrant's corner with off-corner charts
+    (shear . A^{-1}) to test how the recorded monodromy transforms."""
     n, target = poly.dimension, trade.target
     if n == 2:
         if type(target) is not int or not 0 <= target < len(poly.vertices):
@@ -155,7 +157,22 @@ def _trade_chart(poly, trade):
         lo, hi = _corner_basis(poly, target)
         # M sends lo to e1 and hi to e2: it inverts [lo hi], whose
         # determinant is <lo, hi> = 1
-        return ((hi[1], -hi[0]), (-lo[1], lo[0])), poly.vertices[target]
+        vs = poly.vertices
+        M, p = ((hi[1], -hi[0]), (-lo[1], lo[0])), vs[target]
+        # M sends a finite edge to vertex j, L lo or L hi with L its
+        # lattice length, to L e1 or L e2, so w = (1, 1) M reads L off
+        # it; a ray bounds nothing
+        w, two_t = (hi[1] - lo[1], lo[0] - hi[0]), 2 * trade.t
+        for j in (target - 1, target + 1):
+            if poly.rays and j in (-1, len(vs)):
+                continue
+            j %= len(vs)
+            length = w[0] * (vs[j][0] - p[0]) + w[1] * (vs[j][1] - p[1])
+            if two_t >= length:
+                raise AlmostToricError("trade at vertex %d does not fit: 2t = %s is not below "
+                                       "the lattice length %s of its edge to vertex %d"
+                                       % (target, two_t, length, j))
+        return M, p
     M, p = trade.chart
     if len(M) != n or any(len(row) != n for row in M) or len(p) != n:
         raise AlmostToricError(

@@ -174,11 +174,9 @@ def malformed(error, what):
 class Validated:
     """Base of a namedtuple record whose __new__ checks its fields.
 
-    namedtuple's _make, and _replace through it, build the tuple without
-    __new__; this _make goes through the class, so every record a caller
-    builds is checked.  A record derived from checked records may skip
-    its __new__ (tuple.__new__) only when a check it skips computes a
-    determinant, and its docstring shows every skipped check holds."""
+    Every record is built through __new__.  namedtuple's _make, and
+    _replace through it, build the tuple without __new__; this _make
+    goes through the class."""
     __slots__ = ()
 
     @classmethod

@@ -38,8 +38,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .lattice import (Validated, as_int, bezout_complete, content, det, identity,
-                      malformed, mat_inv, mat_mul, rationals, rational_strings, vec_sub)
+from .lattice import (_DIGIT_BOUND, _MAX_EXPONENT, Validated, as_int, bezout_complete,
+                      content, det, identity, malformed, mat_inv, mat_mul, rationals,
+                      rational_strings, vec_sub)
 from .skeleton import circle_class, dehn_twist, intersection_number, skeleton_from_seed
 
 SIGN_TWIST = -1
@@ -65,10 +66,8 @@ def _over_z(A):
 
 class LocalSystem(Validated, namedtuple("LocalSystem", "holonomies")):
     """One rank x rank matrix over Q per torus loop, given as rows of ints
-    or Fractions and stored as tuples of Fractions; every LocalSystem read
-    from a document or built by a caller is normalized and checked, while
-    mutate_local_system derives its result unchecked.  Equality is tuple
-    equality."""
+    or Fractions and stored as tuples of Fractions; every LocalSystem is
+    normalized and checked.  Equality is tuple equality."""
     __slots__ = ()
 
     @property
@@ -84,19 +83,19 @@ class LocalSystem(Validated, namedtuple("LocalSystem", "holonomies")):
                            for A in holonomies)
         s = tuple.__new__(cls, (holonomies,))
         rank = s.rank
-        for A in holonomies:
+        for i, A in enumerate(holonomies):
             if len(A) != rank or any(len(row) != rank for row in A):
-                raise LocalSystemError("holonomy has wrong shape")
+                raise LocalSystemError("holonomy %d has wrong shape" % i)
         # A = N / q is invertible iff N is, and N / q, M / p commute iff
         # N, M do: both checks run over Z
         scaled = [_over_z(A)[0] for A in holonomies]
-        for N in scaled:
+        for i, N in enumerate(scaled):
             if det(N) == 0:
-                raise LocalSystemError("holonomies must be invertible")
+                raise LocalSystemError("holonomy %d must be invertible" % i)
         for i in range(s.n):
             for j in range(i + 1, s.n):
                 if mat_mul(scaled[i], scaled[j]) != mat_mul(scaled[j], scaled[i]):
-                    raise LocalSystemError("holonomies must commute")
+                    raise LocalSystemError("holonomies %d and %d must commute" % (i, j))
         return s
 
 
@@ -155,13 +154,7 @@ def mutate_local_system(ls, s):
     Returns (new LocalSystem in the standard basis of the mutated
     torus, adapted pair (E_s, (I - E_s) E_t)).  Each new holonomy and
     (I - E_s) E_t is one power product over Z (_power_product) whose
-    first factor is I - E_s, so only E_s goes through holonomy_around.
-
-    The new LocalSystem is built unchecked, since its checks cannot fail:
-    every new holonomy is a rank x rank product of integer powers of
-    F = I - E_s and the E_i.  E_s is a product of the commuting E_i, so
-    all these factors commute pairwise, and F is invertible once w != 0.
-    """
+    first factor is I - E_s, so only E_s goes through holonomy_around."""
     if ls.n != 2:
         raise LocalSystemError("mutation implemented on the 2-torus only")
     if content(s) != 1:
@@ -178,7 +171,7 @@ def mutate_local_system(ls, s):
     t = canonical_transversal(s)
     adapted = (E_s, _power_product(((factor, 1),) + tuple(zip(ls.holonomies, t)),
                                    ls.rank))
-    return tuple.__new__(LocalSystem, (new_hol,)), adapted
+    return LocalSystem(new_hol), adapted
 
 
 def mutate_symbolic(holonomies, s):
@@ -218,9 +211,15 @@ def _plus(v):
 def _binomial_terms(lo, hi, e, shift):
     """x^shift (x^lo - x^hi)^e expanded, as (coefficient, exponents) pairs in
     descending lex order of the exponents.  The coefficients come from the
-    recurrence C(e, j+1) = C(e, j) (e - j) / (j + 1): one product per term."""
+    recurrence C(e, j+1) = C(e, j) (e - j) / (j + 1): one product per term.
+    A coefficient of more than _MAX_EXPONENT (4300) digits is past the
+    integer budget, which no writer could print, so the expansion stops
+    at the first one."""
     terms, coef = [], 1
     for j in range(e + 1):
+        if abs(coef) >= _DIGIT_BOUND:
+            raise LocalSystemError("transition term %d has a coefficient of more than %d "
+                                   "digits, past the integer budget" % (j, _MAX_EXPONENT))
         terms.append((coef, tuple(f + (e - j) * a + j * b for f, a, b in zip(shift, lo, hi))))
         coef = -coef * (e - j) // (j + 1)
     return sorted(terms, key=lambda t: t[1], reverse=True)

@@ -33,9 +33,7 @@ class SeedError(ValueError):
 class Seed(Validated, namedtuple("Seed", "n r psi B d")):
     """psi: n vectors, each a tuple of n ints (columns of the basis); B:
     n x n skew-symmetric integer matrix; d: n positive integers.  Every
-    Seed read from a document or built by a caller passes validate_seed;
-    mutate_sequence derives its result without it.  Equality is tuple
-    equality."""
+    Seed passes validate_seed.  Equality is tuple equality."""
     __slots__ = ()
 
     def __new__(cls, n, r, psi, B, d):
@@ -127,13 +125,7 @@ def mutate_sequence(s, ks):
     it: an entry of more than _MAX_EXPONENT (4300) digits is past the
     integer budget, which no writer could print, and as the digits can
     double with each step the sequence stops there.  exchange_graph
-    makes no such check.
-
-    The result skips validate_seed, since no check it makes can fail
-    there: mutation at k sends psi to E_k psi, where E_k is the identity
-    but for column k, E[i][k] = [eps_ik]_+ (i != k) and E[k][k] = -1, so
-    det E_k = -1 and psi stays a Z-basis; n, r, B and d are s's own, so
-    the shape, skew-symmetry and multiplier checks hold as they do on s."""
+    makes no such check."""
     psi = s.psi
     for step, k in enumerate(ks, 1):
         if not (0 <= k < s.r):
@@ -142,7 +134,7 @@ def mutate_sequence(s, ks):
         if any(abs(x) >= _DIGIT_BOUND for p in psi for x in p):
             raise SeedError("mutation step %d makes an entry of more than %d digits, "
                             "past the integer budget" % (step, _MAX_EXPONENT))
-    return tuple.__new__(Seed, (s.n, s.r, psi, s.B, s.d))
+    return Seed(s.n, s.r, psi, s.B, s.d)
 
 
 def matrix_mutation_oracle(em, k):
@@ -228,9 +220,12 @@ def exchange_graph(s, depth):
     truncated=True; node_budget() sets the budget.
 
     Nodes are kept as bare bases psi, and no Seed is built for a node
-    the graph derives, so validate_seed never runs on one: as
-    mutate_sequence shows, no check it makes can fail there.  Nodes are
-    keyed by _node_key, since n, r, B and d are shared by every node.
+    the graph derives, so validate_seed never runs on one.  None of its
+    checks could fail there: mutation at k sends psi to E_k psi, where
+    E_k is the identity but for column k, E[i][k] = [eps_ik]_+ (i != k)
+    and E[k][k] = -1, so det E_k = -1 and psi stays a Z-basis.  Nodes
+    are keyed by _node_key, since n, r, B and d are shared by every
+    node.
     """
     if depth < 0:
         raise SeedError("depth must be nonnegative")

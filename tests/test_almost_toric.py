@@ -28,8 +28,10 @@ BL0C2 = MomentPolytope(
 
 
 def corner_chart(poly, vertex):
-    """The chart apply_trades derives for a trade at the vertex."""
-    return apply_trades(poly, (NodalTrade(vertex),)).singularities[0].chart
+    """The chart apply_trades derives for a trade at the vertex.  The
+    chart does not depend on t, and t = 1/4 fits every corner charted
+    here: each finite edge has lattice length at least 1."""
+    return apply_trades(poly, (NodalTrade(vertex, None, Fraction(1, 4)),)).singularities[0].chart
 
 
 def test_corner_chart_standard():
@@ -84,9 +86,27 @@ def unimodular_corners(draw):
           0, (1, 0), (0, 1)))
 def test_corner_chart_matches_inverse(corner):
     poly, vertex, a, b = corner
-    base = apply_trades(poly, (NodalTrade(vertex),))
+    # t = 1/4 fits: every finite edge of these corners has lattice length >= 1
+    base = apply_trades(poly, (NodalTrade(vertex, None, Fraction(1, 4)),))
     assert base.singularities[0].chart == (_chart_by_inverse(a, b), poly.vertices[vertex])
     assert smoothness_check(base) == [True]
+
+
+@settings(max_examples=100, deadline=None)
+@given(unimodular_corners(), st.integers(1, 8))
+def test_trade_fits_its_corner(corner, q):
+    # a derived chart takes t up to, not including, half the shorter
+    # finite edge's lattice length; a ray bounds nothing
+    poly, vertex, a, b = corner
+    if poly.rays:
+        apply_trades(poly, (NodalTrade(vertex, None, Fraction(10 ** 6)),))
+        return
+    edges = [content([int(x) for x in vec_sub(poly.vertices[j], poly.vertices[vertex])])
+             for j in (0, 2)]
+    limit = Fraction(min(edges), 2)
+    apply_trades(poly, (NodalTrade(vertex, None, limit * Fraction(q, q + 1)),))
+    with pytest.raises(AlmostToricError, match="trade at vertex 1 does not fit"):
+        apply_trades(poly, (NodalTrade(vertex, None, limit),))
 
 
 def test_standard_trade():

@@ -425,7 +425,11 @@ LOCSYS_S18 = str(FIXTURES / "locsys_s18.json")
     pytest.param(["locsys", "mutate", "--locsys", LOCSYS_S18, "--handle-class", "1,2,3"], None, 2,
                  "handle class must be two integers", id="handle-class-three-ints"),
     pytest.param(LOCSYS, {"holonomies": [[["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]]]},
-                 2, "holonomies must commute", id="locsys-not-commuting"),
+                 2, "holonomies 0 and 1 must commute", id="locsys-not-commuting"),
+    pytest.param(LOCSYS, {"holonomies": [[["2"]], [["1", "0"], ["0", "1"]]]}, 2,
+                 "holonomy 1 has wrong shape", id="locsys-wrong-shape"),
+    pytest.param(LOCSYS, {"holonomies": [[["1", "0"], ["0", "1"]], [["1", "2"], ["2", "4"]]]},
+                 2, "holonomy 1 must be invertible", id="locsys-singular"),
     pytest.param(LOCSYS, {"holonomies": [[["2"]], [["3"]], [["5"]]]}, 2,
                  "mutation implemented on the 2-torus only", id="locsys-three-loops"),
     pytest.param(LOCSYS, {"holonomies": [[["1" * 4301]], [["3"]]]}, 2,
@@ -434,6 +438,16 @@ LOCSYS_S18 = str(FIXTURES / "locsys_s18.json")
                  "chart transitions are rank-2 only", id="transition-rank-3"),
     pytest.param(["locsys", "transition", "--seed", A2, "--k", "3"], None, 2,
                  "no such handle", id="transition-no-handle"),
+    # psi [[1, N], [0, 1]]: handle 1 expands (1 - x^s)^N, whose middle
+    # coefficients pass 4300 digits once N is past about 14,300
+    pytest.param(["locsys", "transition", "--k", "1", "--seed"],
+                 dict(SEED, psi=[[1, 20000], [0, 1]]), 2,
+                 "transition term 3928 has a coefficient of more than 4300 digits, "
+                 "past the integer budget", id="transition-digit-budget"),
+    pytest.param(["locsys", "transition", "--k", "1", "--seed"],
+                 dict(SEED, psi=[[1, 2 ** 70], [0, 1]]), 2,
+                 "transition term 225 has a coefficient of more than 4300 digits, "
+                 "past the integer budget", id="transition-digit-budget-2-70"),
     pytest.param(["skeleton", "surgery", "--handle", "1", "--skeleton"],
                  {"rank": 1, "handles": []}, 2, "torus rank must be at least 2",
                  id="skeleton-rank-1"),
@@ -615,6 +629,7 @@ ORTHANT = {"dimension": 3, "facets": [{"normal": n, "rhs": "0"}
 CHART3 = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": ["0", "0", "0"]}
 ZERO_RAY = {"dimension": 2, "vertices": [["0", "1"], ["1", "0"]], "rays": [[0, 0], [1, 0]]}
 REPEATED = {"dimension": 2, "vertices": [["0", "0"], ["0", "0"], ["2", "0"], ["0", "2"]]}
+UNIT_TRIANGLE = {"dimension": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
 
 
 @pytest.mark.parametrize("polytope, trades, flags, message", [
@@ -658,6 +673,14 @@ REPEATED = {"dimension": 2, "vertices": [["0", "0"], ["0", "0"], ["2", "0"], ["0
     pytest.param(dict(REPEATED, vertices=REPEATED["vertices"][1:] + [["0", "0"]]),
                  {"trades": [{"target": 1}]}, [], "vertex 0 repeats the vertex before it",
                  id="2d-repeated-vertex-wrap"),
+    # a derived chart's model triangle must stop short of both neighbours;
+    # at 2t = 1 the singularity would sit on the hypotenuse
+    pytest.param(UNIT_TRIANGLE, {"trades": [{"target": 0, "t": 100}]}, [],
+                 "trade at vertex 0 does not fit: 2t = 200 is not below the lattice length 1 "
+                 "of its edge to vertex 2", id="2d-trade-past-corner"),
+    pytest.param(UNIT_TRIANGLE, {"trades": [{"target": 1, "t": "1/2"}]}, [],
+                 "trade at vertex 1 does not fit: 2t = 1 is not below the lattice length 1 "
+                 "of its edge to vertex 0", id="2d-trade-reaches-neighbour"),
     pytest.param(_fixture("quadrant_polytope.json"), {"trades": [{"t": "1"}]}, [],
                  "malformed trade document: missing key 'target'", id="trade-missing-key"),
     pytest.param({"vertices": [["0", "0"]]}, _fixture("std_trade.json"), [],

@@ -178,8 +178,8 @@ def test_outputs_commute_and_invert():
 @settings(max_examples=100, deadline=None)
 @given(commuting_holonomies(), st.randoms(use_true_random=False))
 def test_derived_records_pass_their_checks(hol, rng):
-    # mutate_local_system builds its result unchecked; rebuilt through
-    # the checking constructor, it passes and is equal
+    # mutate_local_system builds its result through the checking
+    # constructor; rebuilt from its holonomies, it passes and is equal
     ls, s = LocalSystem(hol[:2]), random_primitive(rng)
     assume(_mutable(ls, s))
     out, _ = mutate_local_system(ls, s)

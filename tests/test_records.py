@@ -3,10 +3,9 @@ record that validates its fields does so however it is built.
 
 Records compare as the tuples of their fields.  A namedtuple's
 `_make`, and `_replace` through it, would build the tuple without
-`__new__`; the validating records route both through the class.  Only
-the derivations named in BYPASS_ALLOWED build a record with
-`tuple.__new__`, which skips its checks (the rule is in
-`lattice.Validated`).
+`__new__`; the validating records route both through the class.  No
+code outside a record's own `__new__` builds one with `tuple.__new__`,
+which would skip its checks (the rule is in `lattice.Validated`).
 """
 
 import ast
@@ -98,9 +97,6 @@ def test_every_record_is_immutable_and_cannot_reach_an_output():
 
 
 PACKAGE = Path(__file__).parent.parent / "src" / "clustermirror"
-# (module, top-level function) of each derived record that skips its
-# constructor; every check it skips computes a determinant
-BYPASS_ALLOWED = {("seed", "mutate_sequence"), ("local_system", "mutate_local_system")}
 
 
 def constructor_bypasses(tree):
@@ -119,7 +115,7 @@ def constructor_bypasses(tree):
 def test_only_allowed_derivations_skip_their_constructor():
     found = [(path.stem, name, line) for path in sorted(PACKAGE.glob("*.py"))
              for name, line in constructor_bypasses(ast.parse(path.read_text(), str(path)))]
-    assert {(module, name) for module, name, _ in found} == BYPASS_ALLOWED, found
+    assert found == []
 
 
 def test_every_constructor_bypass_is_found():

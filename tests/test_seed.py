@@ -217,15 +217,18 @@ def test_graph_validates_each_new_node_once(monkeypatch, seed, depth, budget):
 
 
 def test_mutate_sequence_validates_once(monkeypatch):
-    # mutation validates nothing it derives; the result's document is
-    # validated once when it is read back, and passes
+    # each mutate_sequence or mutate call validates its result once, and
+    # not the intermediate bases; the result's document is validated
+    # once more when it is read back, and passes
     calls = _count_validations(monkeypatch)
     m = mutate_sequence(A2, [0, 1, 0, 1, 0])
     assert m.psi == ((-1, 0), (0, 1))
-    assert mutate(A2, 1).psi == ((1, 1), (0, -1))
-    assert calls == []
-    assert deserialize_seed(serialize_seed(m)) == m
     assert calls == [m]
+    m1 = mutate(A2, 1)
+    assert m1.psi == ((1, 1), (0, -1))
+    assert calls == [m, m1]
+    assert deserialize_seed(serialize_seed(m)) == m
+    assert calls == [m, m1, m]
 
 
 def _reference_graph(s, depth, budget):
