@@ -212,15 +212,19 @@ def _binomial_terms(lo, hi, e, shift):
     """x^shift (x^lo - x^hi)^e expanded, as (coefficient, exponents) pairs in
     descending lex order of the exponents.  The coefficients come from the
     recurrence C(e, j+1) = C(e, j) (e - j) / (j + 1): one product per term.
-    A coefficient of more than _MAX_EXPONENT (4300) digits is past the
-    integer budget, which no writer could print, so the expansion stops
-    at the first one."""
+    A coefficient or an exponent (all are nonnegative) of more than
+    _MAX_EXPONENT (4300) digits is past the integer budget, which no
+    writer could print, so the expansion stops at the first one."""
     terms, coef = [], 1
     for j in range(e + 1):
         if abs(coef) >= _DIGIT_BOUND:
             raise LocalSystemError("transition term %d has a coefficient of more than %d "
                                    "digits, past the integer budget" % (j, _MAX_EXPONENT))
-        terms.append((coef, tuple(f + (e - j) * a + j * b for f, a, b in zip(shift, lo, hi))))
+        exps = tuple(f + (e - j) * a + j * b for f, a, b in zip(shift, lo, hi))
+        if max(exps) >= _DIGIT_BOUND:
+            raise LocalSystemError("transition term %d has an exponent of more than %d "
+                                   "digits, past the integer budget" % (j, _MAX_EXPONENT))
+        terms.append((coef, exps))
         coef = -coef * (e - j) // (j + 1)
     return sorted(terms, key=lambda t: t[1], reverse=True)
 
@@ -243,10 +247,15 @@ def _transition_text(c, s):
     function is x^b g^e: a numerator x^(b+) g^e over x^(b-) when e >= 0,
     and x^(b+) over x^(b-) g^|e| when e < 0.  Terms run in descending lex
     order; a denominator with a negative leading coefficient is negated
-    and the sign moved to the front."""
+    and the sign moved to the front.  An entry of b of more than
+    _MAX_EXPONENT (4300) digits is past the integer budget, as in
+    _binomial_terms."""
     e = -intersection_number(c, s)
     lo, hi = _plus(-a for a in s), _plus(s)
     b = tuple(t - e * a for t, a in zip(dehn_twist(c, s), lo))
+    if any(abs(a) >= _DIGIT_BOUND for a in b):
+        raise LocalSystemError("transition exponent b = tau_s(c) - e s- has an entry of "
+                               "more than %d digits, past the integer budget" % _MAX_EXPONENT)
     bp, bm = _plus(b), _plus(-a for a in b)
     if e >= 0:
         num = _sum_text(_binomial_terms(lo, hi, e, bp))

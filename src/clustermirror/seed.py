@@ -20,7 +20,7 @@ tests quantify over.
 import json
 import os
 from collections import namedtuple
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul
 
 from .lattice import _DIGIT_BOUND, _MAX_EXPONENT, Validated, as_int, det, ints, malformed
@@ -94,21 +94,14 @@ def is_skew_symmetrizable(eps, d):
     )
 
 
-def plus(r):
-    return r if r > 0 else 0
-
-
-def _mutated_psi(psi, B, d, k):
-    """The basis psi after mutation at k, with no check of k or of the
-    result; callers check both.  As in _column, B psi_k is formed once;
-    each row's coefficient eps_ik and its update then take one pass."""
+def _mutated_psi(psi, col, k):
+    """The basis psi after mutation at k, given column k of its exchange
+    matrix (col[i] = eps_ik, from _column or a carried matrix), with no
+    check of k or of the result; callers check both."""
     pk = psi[k]
-    Bpk = [sum(map(mul, row, pk)) for row in B]
-    dk = d[k]
     new_psi = []
-    for p in psi:
-        c = sum(map(mul, p, Bpk))    # eps_ik / d_k, positive as eps_ik is
-        new_psi.append(tuple(map(add, p, map(mul, repeat(c * dk), pk))) if c > 0 else p)
+    for p, c in zip(psi, col):
+        new_psi.append(tuple(map(add, p, map(mul, repeat(c), pk))) if c > 0 else p)
     new_psi[k] = tuple(-a for a in pk)
     return tuple(new_psi)
 
@@ -121,41 +114,59 @@ def mutate(s, k):
 def mutate_sequence(s, ks):
     """Mutations at the unfrozen indices ks, in order.
 
-    Each index is checked before its step, and the step's entries after
-    it: an entry of more than _MAX_EXPONENT (4300) digits is past the
-    integer budget, which no writer could print, and as the digits can
-    double with each step the sequence stops there.  exchange_graph
+    Each index is checked before its step, and the entries the step
+    changed after it: an entry of more than _MAX_EXPONENT (4300) digits
+    is past the integer budget, which no writer could print, and as the
+    digits can double with each step the sequence stops there.  A step
+    at k changes only the rows i with eps_ik > 0, to psi_i + eps_ik psi_k
+    (row k changes sign), so no entry passes bound, the largest entry of
+    s.psi times 1 + max(0, max_i eps_ik) for each step; the changed rows
+    are scanned only once bound reaches the budget.  exchange_graph
     makes no such check."""
-    psi = s.psi
+    psi, r, B, d = s.psi, s.r, s.B, s.d
+    bound = max(map(abs, chain.from_iterable(psi)), default=0)
     for step, k in enumerate(ks, 1):
-        if not (0 <= k < s.r):
+        if not (0 <= k < r):
             raise SeedError("mutation only at unfrozen vectors")
-        psi = _mutated_psi(psi, s.B, s.d, k)
-        if any(abs(x) >= _DIGIT_BOUND for p in psi for x in p):
+        col = _column(psi, B, d, k)
+        psi = _mutated_psi(psi, col, k)
+        bound *= 1 + max(0, *col)
+        if bound >= _DIGIT_BOUND and any(abs(x) >= _DIGIT_BOUND for c, p in zip(col, psi)
+                                         if c > 0 for x in p):
             raise SeedError("mutation step %d makes an entry of more than %d digits, "
                             "past the integer budget" % (step, _MAX_EXPONENT))
-    return Seed(s.n, s.r, psi, s.B, s.d)
+    return Seed(s.n, r, psi, B, d)
+
+
+def _mutated_matrix(e, k):
+    """Matrix mutation at k of a bare square matrix e, by row operations:
+    row k is negated, and a row i != k with a = eps_ik gains a [eps_k]_+
+    if a > 0, or a [-eps_k]_+ if a < 0, and takes -a at column k.  The
+    rule commutes with transposition, mu_k(eps^T) = mu_k(eps)^T, as
+    [a]_+ b + a [-b]_+ is symmetric in a and b; so it also mutates the
+    columns of eps, as exchange_graph carries them."""
+    ek = e[k]
+    pos, neg = [x if x > 0 else 0 for x in ek], [-x if x < 0 else 0 for x in ek]
+    out = []
+    for row in e:
+        a = row[k]
+        if a:
+            row = list(map(add, row, map(mul, repeat(a), pos if a > 0 else neg)))
+            row[k] = -a
+        out.append(tuple(row))
+    out[k] = tuple(-x for x in ek)
+    return tuple(out)
 
 
 def matrix_mutation_oracle(em, k):
     """Matrix mutation computed directly on eps, independent of bases.
 
     eps'_ij = -eps_ij if k in {i,j}, else
-              eps_ij + [eps_ik]_+ eps_kj + eps_ik [-eps_kj]_+.
+              eps_ij + [eps_ik]_+ eps_kj + eps_ik [-eps_kj]_+,
+    which _mutated_matrix applies as row operations.
     Used to cross-check mutate via exchange_matrix.
     """
-    e = em.eps
-    n = len(e)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-e[i][j])
-            else:
-                row.append(e[i][j] + plus(e[i][k]) * e[k][j] + e[i][k] * plus(-e[k][j]))
-        out.append(tuple(row))
-    return ExchangeMatrix(tuple(out))
+    return ExchangeMatrix(_mutated_matrix(em.eps, k))
 
 
 def seed_equivalent(s1, s2):
@@ -226,34 +237,48 @@ def exchange_graph(s, depth):
     and E[k][k] = -1, so det E_k = -1 and psi stays a Z-basis.  Nodes
     are keyed by _node_key, since n, r, B and d are shared by every
     node.
+
+    A node's exchange matrix is carried as its columns, made by
+    _mutated_matrix from its parent's when the node is expanded (the
+    root's by _column; the rule commutes with transposition), and each
+    child's basis comes from column k.  A
+    child's text is one "%d" template per rank filled with its entries:
+    they are exact ints, whose "%d" text is json.dumps's, and past 4300
+    digits both raise the same ValueError.  A child exists only for
+    n >= 1; the root, possibly of rank 0, keeps json.dumps.
     """
     if depth < 0:
         raise SeedError("depth must be nonnegative")
     budget = node_budget()
-    r, B, d = s.r, s.B, s.d
+    n, r, B, d = s.n, s.r, s.B, s.d
     nodes = [s.psi]                      # bases in discovery order
     texts = [json.dumps(s.psi)]
     index = {_node_key(s.psi, r, d): 0}  # node key -> node id
     edges = set()
     truncated = False
-    frontier = [0]
+    text_of = "[[" + "], [".join([", ".join(["%d"] * n)] * n) + "]]"
+    frontier = [(0, None, None)]         # (node id, parent's columns, mutation index)
     for _ in range(depth):
         if truncated or not frontier:
             break
-        discovered = []   # (sort key, psi, source id, mutation index, node key)
-        for nid in frontier:
+        discovered = []   # (sort key, psi, source id, mutation index, node key, source columns)
+        for nid, pcols, pk in frontier:
             psi = nodes[nid]
+            cols = ([_column(psi, B, d, j) for j in range(n)] if pcols is None
+                    else _mutated_matrix(pcols, pk))
             for k in range(r):
-                child = _mutated_psi(psi, B, d, k)
+                child = _mutated_psi(psi, cols[k], k)
                 ckey = _node_key(child, r, d)
                 if ckey in index:
                     edges.add((nid, index[ckey], k))
                 else:
-                    # the psi text sorts as the serialized seed would (see above)
-                    discovered.append((json.dumps(child), child, nid, k, ckey))
+                    # sorts as the serialized seed would (see above); sum(child, ())
+                    # would leave partial tuples on CPython's free lists, raising RSS
+                    discovered.append((text_of % (*chain.from_iterable(child),),
+                                       child, nid, k, ckey, cols))
         discovered.sort(key=lambda item: item[0])
         frontier = []
-        for text, child, src, k, ckey in discovered:
+        for text, child, src, k, ckey, cols in discovered:
             if ckey in index:
                 edges.add((src, index[ckey], k))
                 continue
@@ -264,6 +289,6 @@ def exchange_graph(s, depth):
             nodes.append(child)
             texts.append(text)
             index[ckey] = cid
-            frontier.append(cid)
+            frontier.append((cid, cols, k))
             edges.add((src, cid, k))
     return {"nodes": nodes, "texts": texts, "edges": sorted(edges), "truncated": truncated}

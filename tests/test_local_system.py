@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from math import floor, gcd
 from pathlib import Path
@@ -275,6 +276,18 @@ def test_chart_transition_matches_symbolic_mutation(s):
     once, _ = mutate_symbolic((x1, x2), s)
     for c, want in zip(((1, 0), (0, 1)), once):
         assert sp.cancel(sp.sympify(_transition_text(c, s)) - want) == 0
+
+
+@pytest.mark.parametrize("c, s, message", [
+    ((1, 0), (4 * 10 ** 4299, 21), "transition exponent b = tau_s(c) - e s- has an entry"),
+    ((1, 0), (-4 * 10 ** 4299, 21), "transition term 0 has an exponent"),
+], ids=["b", "term"])
+def test_transition_exponent_budget(c, s, message):
+    # an exponent of more than 4300 digits is refused by the budget check,
+    # before CPython's limit on writing an integer is reached
+    with pytest.raises(LocalSystemError, match=re.escape(message) + " of more than 4300 "
+                       "digits, past the integer budget"):
+        _transition_text(c, s)
 
 
 def test_chart_transition_errors():

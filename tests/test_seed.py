@@ -216,6 +216,32 @@ def test_graph_validates_each_new_node_once(monkeypatch, seed, depth, budget):
     assert [c.psi for c in calls] == g["nodes"][1:]
 
 
+def test_mutate_sequence_budget_matches_a_full_scan():
+    # the step named is the first after which some entry has more than
+    # 4300 digits, found here by scanning every entry after each step;
+    # each sequence starts at index 0, whose column has no positive entry
+    B, d = ((0, 3, 0), (-3, 0, 3), (0, -3, 0)), (1, 1, 1)
+    s = Seed(3, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), B, d)
+    assert max(seed_module._column(s.psi, B, d, 0)) <= 0
+    rng = random.Random(3)
+    for _ in range(6):
+        ks = [0]
+        while len(ks) < 60:
+            k = rng.randrange(3)
+            if k != ks[-1]:
+                ks.append(k)
+        psi = s.psi
+        for step, k in enumerate(ks, 1):
+            psi = seed_module._mutated_psi(psi, seed_module._column(psi, B, d, k), k)
+            if any(abs(x) >= 10 ** 4300 for p in psi for x in p):
+                break
+        assert step < len(ks)
+        mutate_sequence(s, ks[:step - 1])       # the steps before it pass
+        with pytest.raises(SeedError, match="mutation step %d makes an entry of more than "
+                                            "4300 digits" % step):
+            mutate_sequence(s, ks[:step + 1])
+
+
 def test_mutate_sequence_validates_once(monkeypatch):
     # each mutate_sequence or mutate call validates its result once, and
     # not the intermediate bases; the result's document is validated
@@ -342,10 +368,48 @@ def test_seed_equivalent_matches_permutation_search(pair):
 @example(Seed(4, 3, ((1, 0, 0, 0), (1, 1, 0, 0), (0, -1, 1, 0), (0, 0, 1, 1)),
               ((0, 1, -1, 0), (-1, 0, 1, 1), (1, -1, 0, 2), (0, -1, -2, 0)),
               (1, 2, 1, 3)), 8, 30)                                        # truncated
+@example(Seed(1, 1, ((1,),), ((0,),), (1,)), 3, 60)                     # rank 1
+@example(Seed(2, 2, ((1, 0), (0, 1)), ((0, 1), (-1, 0)), (1, 2)), 8, 60)  # d = (1, 2)
+@example(Seed(4, 2, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, -1, 0, 1)),
+              ((0, 2, -1, 1), (-2, 0, 1, -1), (1, -1, 0, 2), (-1, 1, -2, 0)),
+              (2, 1, 3, 1)), 8, 60)                                        # frozen rows
+@example(Seed(3, 3, ((13, -4, 0), (-10, 3, 0), (0, -21, 1)),
+              ((0, 3, -1), (-3, 0, 2), (1, -2, 0)), (1, 2, 1)), 4, 60)    # multi-digit
 def test_graph_matches_reference_search(s, depth, budget):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("CLUSTERMIRROR_BUDGET", str(budget))
         assert exchange_graph(s, depth) == _reference_graph(s, depth, budget)
+
+
+@st.composite
+def square_matrices(draw):
+    """A square integer matrix of size 1-6, its diagonal not necessarily 0."""
+    n = draw(st.integers(1, 6))
+    return tuple(tuple(draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n)))
+                 for _ in range(n))
+
+
+def _matrix_mutation_by_entries(e, k):
+    """The matrix mutation rule, entry by entry."""
+    n = len(e)
+    return tuple(tuple(-e[i][j] if k in (i, j) else
+                       e[i][j] + max(e[i][k], 0) * e[k][j] + e[i][k] * max(-e[k][j], 0)
+                       for j in range(n))
+                 for i in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_seeds(), square_matrices(), st.integers(0, 5))
+def test_matrix_rule_commutes_with_transposition(s, e, k):
+    # exchange_graph mutates the columns of eps by the rule for its rows
+    ke = k % len(e)
+    assert seed_module._mutated_matrix(e, ke) == _matrix_mutation_by_entries(e, ke)
+    assert (seed_module._mutated_matrix(tuple(zip(*e)), ke)
+            == tuple(zip(*seed_module._mutated_matrix(e, ke))))
+    k %= s.r
+    eps, want = exchange_matrix(s).eps, exchange_matrix(mutate(s, k)).eps
+    assert seed_module._mutated_matrix(eps, k) == want
+    assert seed_module._mutated_matrix(tuple(zip(*eps)), k) == tuple(zip(*want))
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,15 +24,23 @@ def _column_d0(psi, B, d, k):
     return ORIGINAL_COLUMN(psi, B, d[:1] * len(d), k)
 
 
-def _mutated_psi_opposite_sign(psi, B, d, k):
+def _mutated_psi_opposite_sign(psi, col, k):
     # psi'_i = psi_i + [-eps_ik]_+ psi_k: mutation gives the matrix rule's
     # eps and eps returns after two steps, so only the check that double
     # mutation is the transvection by eps sees it (it is the one by -eps)
     pk = psi[k]
     new_psi = [tuple(a - c * b for a, b in zip(p, pk)) if c < 0 else p
-               for p, c in zip(psi, ORIGINAL_COLUMN(psi, B, d, k))]
+               for p, c in zip(psi, col)]
     new_psi[k] = tuple(-a for a in pk)
     return tuple(new_psi)
+
+
+def _mutated_matrix_without_negative_part(e, k):
+    # eps'_ij = eps_ij + [eps_ik]_+ eps_kj off row and column k: the
+    # eps_ik [-eps_kj]_+ term is dropped
+    return tuple(tuple(-e[i][j] if k in (i, j) else e[i][j] + max(e[i][k], 0) * e[k][j]
+                       for j in range(len(e)))
+                 for i in range(len(e)))
 
 
 def _dehn_twist_flipped(c, about):
@@ -59,6 +67,7 @@ def _corner_basis_reversed(poly, i):
 FAULTS = [
     ("epsilon", seed, "_column", _column_d0),
     ("epsilon", seed, "_mutated_psi", _mutated_psi_opposite_sign),
+    ("epsilon", seed, "_mutated_matrix", _mutated_matrix_without_negative_part),
     ("dictionary", skeleton, "dehn_twist", _dehn_twist_flipped),
     ("duality", verify, "monodromy_matrix", _monodromy_diagonal_swapped),
     ("smoothness", almost_toric, "transport_matrix", _transport_transposed),
