@@ -212,19 +212,20 @@ def _binomial_terms(lo, hi, e, shift):
     """x^shift (x^lo - x^hi)^e expanded, as (coefficient, exponents) pairs in
     descending lex order of the exponents.  The coefficients come from the
     recurrence C(e, j+1) = C(e, j) (e - j) / (j + 1): one product per term.
-    A coefficient or an exponent (all are nonnegative) of more than
-    _MAX_EXPONENT (4300) digits is past the integer budget, which no
-    writer could print, so the expansion stops at the first one."""
+    A coefficient or an exponent of more than _MAX_EXPONENT (4300) digits
+    is past the integer budget, which no writer could print: the
+    exponents are refused before the expansion, which stops at the first
+    such coefficient.  All are nonnegative and linear in j, so the
+    largest is f + e max(a, b) over the coordinates."""
+    if max(f + e * max(a, b) for f, a, b in zip(shift, lo, hi)) >= _DIGIT_BOUND:
+        raise LocalSystemError("transition expansion has an exponent of more than %d "
+                               "digits, past the integer budget" % _MAX_EXPONENT)
     terms, coef = [], 1
     for j in range(e + 1):
         if abs(coef) >= _DIGIT_BOUND:
             raise LocalSystemError("transition term %d has a coefficient of more than %d "
                                    "digits, past the integer budget" % (j, _MAX_EXPONENT))
-        exps = tuple(f + (e - j) * a + j * b for f, a, b in zip(shift, lo, hi))
-        if max(exps) >= _DIGIT_BOUND:
-            raise LocalSystemError("transition term %d has an exponent of more than %d "
-                                   "digits, past the integer budget" % (j, _MAX_EXPONENT))
-        terms.append((coef, exps))
+        terms.append((coef, tuple(f + (e - j) * a + j * b for f, a, b in zip(shift, lo, hi))))
         coef = -coef * (e - j) // (j + 1)
     return sorted(terms, key=lambda t: t[1], reverse=True)
 
@@ -253,7 +254,7 @@ def _transition_text(c, s):
     e = -intersection_number(c, s)
     lo, hi = _plus(-a for a in s), _plus(s)
     b = tuple(t - e * a for t, a in zip(dehn_twist(c, s), lo))
-    if any(abs(a) >= _DIGIT_BOUND for a in b):
+    if max(map(abs, b)) >= _DIGIT_BOUND:
         raise LocalSystemError("transition exponent b = tau_s(c) - e s- has an entry of "
                                "more than %d digits, past the integer budget" % _MAX_EXPONENT)
     bp, bm = _plus(b), _plus(-a for a in b)

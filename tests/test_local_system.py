@@ -280,8 +280,8 @@ def test_chart_transition_matches_symbolic_mutation(s):
 
 @pytest.mark.parametrize("c, s, message", [
     ((1, 0), (4 * 10 ** 4299, 21), "transition exponent b = tau_s(c) - e s- has an entry"),
-    ((1, 0), (-4 * 10 ** 4299, 21), "transition term 0 has an exponent"),
-], ids=["b", "term"])
+    ((1, 0), (-4 * 10 ** 4299, 21), "transition expansion has an exponent"),
+], ids=["b", "expansion"])
 def test_transition_exponent_budget(c, s, message):
     # an exponent of more than 4300 digits is refused by the budget check,
     # before CPython's limit on writing an integer is reached
