@@ -241,11 +241,11 @@ def exchange_graph(s, depth):
     A node's exchange matrix is carried as its columns, made by
     _mutated_matrix from its parent's when the node is expanded (the
     root's by _column; the rule commutes with transposition), and each
-    child's basis comes from column k.  A
-    child's text is one "%d" template per rank filled with its entries:
-    they are exact ints, whose "%d" text is json.dumps's, and past 4300
-    digits both raise the same ValueError.  A child exists only for
-    n >= 1; the root, possibly of rank 0, keeps json.dumps.
+    child's basis comes from column k.  A child's text is one "%d"
+    template per rank filled with its entries: they are exact ints,
+    whose "%d" text is json.dumps's, and past 4300 digits both raise the
+    same ValueError.  A child exists only for n >= 1; the root, possibly
+    of rank 0, keeps json.dumps.
     """
     if depth < 0:
         raise SeedError("depth must be nonnegative")
